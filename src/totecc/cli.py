@@ -155,33 +155,47 @@ def _cmd_rewrite(args: argparse.Namespace) -> int:
     return 0
 
 
-def _enumerate_shard(task: tuple[int, int, int, bool]) -> list[str]:
-    n, idx, workers, allow_large = task
+def _enumerate_shard(
+    task: tuple[int, int, int, bool, enumeration.ClassConstraint]
+) -> list[list[str]]:
+    """graph6 lines of one shard's class members, one list per level-6 subtree."""
+    n, idx, workers, allow_large, constraint = task
     return [
-        graph6.encode(g)
-        for g in enumeration.connected_graphs(n, shard=(idx, workers), allow_large=allow_large)
+        [graph6.encode(g) for g in enumeration.filter_graphs(subtree, constraint)]
+        for subtree in enumeration._subtrees(n, (idx, workers), allow_large)
     ]
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
-    constraint = parse_constraint(args.constraint) if args.constraint else None
+    if args.workers < 1:
+        raise ValueError(f"--workers must be at least 1, got {args.workers}")
+    constraint = parse_constraint(args.constraint or "all")
     out = open(args.graph6_out, "w") if args.graph6_out else sys.stdout
     try:
         if args.workers > 1:
             import multiprocessing
 
-            tasks = [(args.n, i, args.workers, args.allow_large) for i in range(args.workers)]
-            with multiprocessing.Pool(args.workers) as pool:
-                chunks = pool.map(_enumerate_shard, tasks)
-            lines: list[str] = [line for chunk in chunks for line in chunk]
-            graphs = (graph6.decode(line) for line in lines)
+            tasks = [
+                (args.n, i, args.workers, args.allow_large, constraint)
+                for i in range(args.workers)
+            ]
+            with multiprocessing.get_context("spawn").Pool(args.workers) as pool:
+                shards = pool.map(_enumerate_shard, tasks)
+            # Shard i holds subtrees i, i + w, ...: deal them back round-robin.
+            lines = [
+                line
+                for j in range(len(shards[0]))
+                for shard in shards
+                if j < len(shard)
+                for line in shard[j]
+            ]
         else:
             graphs = enumeration.connected_graphs(args.n, allow_large=args.allow_large)
+            lines = (graph6.encode(g) for g in enumeration.filter_graphs(graphs, constraint))
         count = 0
-        for g in graphs:
-            if constraint is None or constraint.matches(g):
-                out.write(graph6.encode(g) + "\n")
-                count += 1
+        for line in lines:
+            out.write(line + "\n")
+            count += 1
         print(f"emitted {count} graphs on {args.n} vertices", file=sys.stderr)
     finally:
         if out is not sys.stdout:
@@ -209,7 +223,10 @@ def _cmd_search(args: argparse.Namespace) -> int:
 def _parse_range(text: str) -> list[int]:
     if ".." in text:
         lo, _, hi = text.partition("..")
-        return list(range(int(lo), int(hi) + 1))
+        orders = list(range(int(lo), int(hi) + 1))
+        if not orders:
+            raise ValueError(f"empty order range {text!r}")
+        return orders
     return [int(text)]
 
 
@@ -266,6 +283,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         for name in names:
             print(f"verifying {name} at n={n}", file=sys.stderr)
             verdicts.extend(extremal.verify_theorem(name, n))
+    if not verdicts:
+        raise ValueError(f"no verifiable case for --theorem {args.theorem} at n={args.n}")
     _emit_verdicts(verdicts, args.format)
     failed = [v for v in verdicts if not v.ok]
     if failed:
@@ -279,6 +298,8 @@ def _cmd_conjecture(args: argparse.Namespace) -> int:
     for n in _parse_range(args.n):
         print(f"auditing conjecture at n={n}", file=sys.stderr)
         verdicts.extend(extremal.check_conjecture(n))
+    if not verdicts:
+        raise ValueError(f"no conjecture case at n={args.n}")
     _emit_verdicts(verdicts, args.format)
     violations = [v for v in verdicts if v.status == extremal.CONJECTURE_VIOLATED]
     if violations:

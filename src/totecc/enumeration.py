@@ -113,6 +113,18 @@ def connected_graphs(
     i-th; the union over all shards is the full stream and aggregations
     over it must not depend on order.
     """
+    for subtree in _subtrees(n, shard, allow_large):
+        yield from subtree
+
+
+def _subtrees(
+    n: int, shard: tuple[int, int] | None, allow_large: bool
+) -> Iterator[Iterator[Graph]]:
+    """The stream of connected_graphs, one iterator per level-6 subtree in the shard.
+
+    Shard (i, w) gets subtrees i, i + w, ...; taking one subtree from each
+    shard in turn restores the unsharded order.
+    """
     cap = MAX_OPTIN if allow_large else MAX_EXHAUSTIVE
     if not 1 <= n <= cap:
         raise ValueError(
@@ -125,15 +137,9 @@ def connected_graphs(
     if total < 1 or not 0 <= idx < total:
         raise ValueError(f"invalid shard {shard}")
     base_level = min(n, _SHARD_LEVEL)
-    count = 0
-    for base, gens in _grow(_K1, (), base_level):
+    for count, (base, gens) in enumerate(_grow(_K1, (), base_level)):
         if count % total == idx:
-            if base.n == n:
-                yield base
-            else:
-                for g, _ in _grow(base, gens, n):
-                    yield g
-        count += 1
+            yield (g for g, _ in _grow(base, gens, n))
 
 
 @lru_cache(maxsize=None)

@@ -375,7 +375,8 @@ def verify_tree_theorems(n: int) -> list[Verdict]:
             continue
         brooms = [families.double_broom(l, k - l, n - k) for l in range(1, k)]
         broom_values = {total_eccentricity(t) for t in brooms}
-        assert len(broom_values) == 1, f"double brooms disagree at (n={n}, k={k})"
+        if len(broom_values) != 1:
+            raise RuntimeError(f"double brooms disagree at (n={n}, k={k})")
         verdicts.append(
             _verdict("tree-max", n, k, broom_values.pop(), brooms, report_max, False)
         )
@@ -384,7 +385,8 @@ def verify_tree_theorems(n: int) -> list[Verdict]:
         else:
             minimizers = [families.spider_balanced(n, k)]
         min_values = {total_eccentricity(t) for t in minimizers}
-        assert len(min_values) == 1, f"spider minimizers disagree at (n={n}, k={k})"
+        if len(min_values) != 1:
+            raise RuntimeError(f"spider minimizers disagree at (n={n}, k={k})")
         verdicts.append(
             _verdict("tree-min", n, k, min_values.pop(), minimizers, report_min, False)
         )

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 MAX_VERTICES = 200
 
@@ -127,20 +127,45 @@ class BlockDecomposition:
     block_graph: "Graph | None"
 
 
-def _reach_mask(g: Graph, start: int) -> int:
-    seen = 1 << start
-    frontier = seen
+def bfs_levels(adj: Sequence[int], start: int, banned: int = 0) -> Iterator[int]:
+    """Yield the BFS frontiers from ``start`` as bitmasks, level 0 first.
+
+    ``adj`` holds one neighbor mask per vertex (``Graph.adj``, or rows from
+    ``without_edge``); no vertex in the ``banned`` mask is ever entered.
+    Level d holds exactly the vertices at distance d from ``start``.
+    """
+    frontier = 1 << start
+    seen = frontier | banned
     while frontier:
+        yield frontier
         nxt = 0
-        for v in bits(frontier):
-            nxt |= g.adj[v]
+        # bits() inlined: this is the hot loop of every eccentricity.
+        while frontier:
+            low = frontier & -frontier
+            nxt |= adj[low.bit_length() - 1]
+            frontier ^= low
         frontier = nxt & ~seen
         seen |= frontier
+
+
+def without_edge(adj: Sequence[int], u: int, v: int) -> list[int]:
+    """Adjacency rows with the edge uv removed."""
+    rows = list(adj)
+    rows[u] &= ~(1 << v)
+    rows[v] &= ~(1 << u)
+    return rows
+
+
+def _reach(adj: Sequence[int], start: int, banned: int = 0) -> int:
+    """Mask of the vertices reachable from ``start`` avoiding ``banned``."""
+    seen = 0
+    for level in bfs_levels(adj, start, banned):
+        seen |= level
     return seen
 
 
 def is_connected(g: Graph) -> bool:
-    return _reach_mask(g, 0) == (1 << g.n) - 1
+    return _reach(g.adj, 0) == (1 << g.n) - 1
 
 
 def _require_connected(g: Graph) -> None:
@@ -148,23 +173,17 @@ def _require_connected(g: Graph) -> None:
         raise DisconnectedGraphError("invariant requires a connected graph")
 
 
-def bfs_distances(g: Graph, v: int) -> DistanceRow:
-    """Exact hop distances from ``v``; disconnected vertices get UNREACHABLE."""
+def _require_vertex(g: Graph, v: int) -> None:
     if not 0 <= v < g.n:
         raise ValueError(f"vertex {v} out of range for n={g.n}")
+
+
+def bfs_distances(g: Graph, v: int) -> DistanceRow:
+    """Exact hop distances from ``v``; disconnected vertices get UNREACHABLE."""
+    _require_vertex(g, v)
     dist = [UNREACHABLE] * g.n
-    dist[v] = 0
-    seen = 1 << v
-    frontier = seen
-    d = 0
-    while frontier:
-        d += 1
-        nxt = 0
-        for u in bits(frontier):
-            nxt |= g.adj[u]
-        frontier = nxt & ~seen
-        seen |= frontier
-        for u in bits(frontier):
+    for d, level in enumerate(bfs_levels(g.adj, v)):
+        for u in bits(level):
             dist[u] = d
     return DistanceRow(v, tuple(dist))
 
@@ -174,22 +193,27 @@ def distance_matrix(g: Graph) -> tuple[tuple[int, ...], ...]:
     return tuple(bfs_distances(g, v).dist for v in range(g.n))
 
 
-def eccentricity(g: Graph, v: int) -> int:
-    row = bfs_distances(g, v).dist
-    if UNREACHABLE in row:
+def _eccentricity(adj: Sequence[int], v: int, full: int) -> int:
+    """Number of BFS levels from ``v`` minus one; ``full`` is the vertex mask."""
+    reached = 0
+    ecc = -1
+    for level in bfs_levels(adj, v):
+        reached |= level
+        ecc += 1
+    if reached != full:
         raise DisconnectedGraphError("eccentricity requires a connected graph")
-    return max(row)
+    return ecc
+
+
+def eccentricity(g: Graph, v: int) -> int:
+    _require_vertex(g, v)
+    return _eccentricity(g.adj, v, (1 << g.n) - 1)
 
 
 def eccentricities(g: Graph) -> tuple[int, ...]:
     """Per-vertex eccentricities (raises on disconnected input)."""
-    out = []
-    for v in range(g.n):
-        row = bfs_distances(g, v).dist
-        if UNREACHABLE in row:
-            raise DisconnectedGraphError("eccentricity requires a connected graph")
-        out.append(max(row))
-    return tuple(out)
+    adj, full = g.adj, (1 << g.n) - 1
+    return tuple([_eccentricity(adj, v, full) for v in range(g.n)])
 
 
 def total_eccentricity(g: Graph) -> int:
@@ -198,13 +222,16 @@ def total_eccentricity(g: Graph) -> int:
 
 
 def wiener_index(g: Graph) -> int:
-    """Sum of distances over unordered vertex pairs."""
+    """Sum of distances over unordered vertex pairs: sum of d * |level d|."""
+    full = (1 << g.n) - 1
     total = 0
     for v in range(g.n):
-        row = bfs_distances(g, v).dist
-        if UNREACHABLE in row:
+        reached = 0
+        for d, level in enumerate(bfs_levels(g.adj, v)):
+            reached |= level
+            total += d * level.bit_count()
+        if reached != full:
             raise DisconnectedGraphError("Wiener index requires a connected graph")
-        total += sum(row)
     return total // 2
 
 
@@ -218,79 +245,14 @@ def pendant_vertices(g: Graph) -> frozenset[int]:
     return frozenset(v for v in range(g.n) if g.degree(v) == 1)
 
 
-def cut_vertices(g: Graph) -> frozenset[int]:
-    """Articulation points via iterative DFS low-points."""
-    _require_connected(g)
+def _tarjan(g: Graph) -> tuple[frozenset[int], list[frozenset[int]]]:
+    """Cut vertices and blocks (in closing order) by one iterative DFS.
+
+    Tarjan's low-point search with an edge stack: when a child v of p has
+    low[v] >= disc[p], the edges down to (p, v) form one block and p is a
+    cut vertex unless it is the root with a single child.
+    """
     n = g.n
-    disc = [-1] * n
-    low = [0] * n
-    parent = [-1] * n
-    cuts = set()
-    timer = 0
-    # Iterative Tarjan: each stack frame tracks the neighbor iterator.
-    stack = [(0, iter(bits(g.adj[0])))]
-    disc[0] = low[0] = timer
-    timer += 1
-    root_children = 0
-    while stack:
-        v, it = stack[-1]
-        advanced = False
-        for u in it:
-            if disc[u] == -1:
-                parent[u] = v
-                disc[u] = low[u] = timer
-                timer += 1
-                if v == 0:
-                    root_children += 1
-                stack.append((u, iter(bits(g.adj[u]))))
-                advanced = True
-                break
-            elif u != parent[v]:
-                if disc[u] < low[v]:
-                    low[v] = disc[u]
-        if not advanced:
-            stack.pop()
-            if stack:
-                p = stack[-1][0]
-                if low[v] < low[p]:
-                    low[p] = low[v]
-                if p != 0 and low[v] >= disc[p]:
-                    cuts.add(p)
-    if root_children > 1:
-        cuts.add(0)
-    return frozenset(cuts)
-
-
-def cut_vertices_by_deletion(g: Graph) -> frozenset[int]:
-    """Articulation points by n deletion/connectivity checks (oracle path)."""
-    _require_connected(g)
-    if g.n == 1:
-        return frozenset()
-    cuts = set()
-    for v in range(g.n):
-        rest = [u for u in range(g.n) if u != v]
-        start = rest[0]
-        # BFS in g - v
-        seen = 1 << start
-        frontier = seen
-        banned = 1 << v
-        while frontier:
-            nxt = 0
-            for u in bits(frontier):
-                nxt |= g.adj[u]
-            frontier = nxt & ~seen & ~banned
-            seen |= frontier
-        if seen.bit_count() != g.n - 1:
-            cuts.add(v)
-    return frozenset(cuts)
-
-
-def blocks(g: Graph) -> BlockDecomposition:
-    """Biconnected components, cut vertices, and the block graph."""
-    _require_connected(g)
-    n = g.n
-    if n == 1:
-        return BlockDecomposition((), frozenset(), None)
     disc = [-1] * n
     low = [0] * n
     parent = [-1] * n
@@ -299,6 +261,7 @@ def blocks(g: Graph) -> BlockDecomposition:
     raw_blocks: list[frozenset[int]] = []
     cuts = set()
 
+    # Each stack frame tracks the neighbor iterator of its vertex.
     stack = [(0, iter(bits(g.adj[0])))]
     disc[0] = low[0] = timer
     timer += 1
@@ -339,11 +302,35 @@ def blocks(g: Graph) -> BlockDecomposition:
                     raw_blocks.append(frozenset(members))
                     if p != 0:
                         cuts.add(p)
+    if timer != n:
+        raise DisconnectedGraphError("invariant requires a connected graph")
     if root_children > 1:
         cuts.add(0)
+    return frozenset(cuts), raw_blocks
 
+
+def cut_vertices(g: Graph) -> frozenset[int]:
+    """Articulation points via iterative DFS low-points."""
+    return _tarjan(g)[0]
+
+
+def cut_vertices_by_deletion(g: Graph) -> frozenset[int]:
+    """Articulation points by n deletion/connectivity checks (oracle path)."""
+    _require_connected(g)
+    if g.n == 1:
+        return frozenset()
+    cuts = set()
+    for v in range(g.n):
+        start = 1 if v == 0 else 0
+        if _reach(g.adj, start, 1 << v).bit_count() != g.n - 1:
+            cuts.add(v)
+    return frozenset(cuts)
+
+
+def blocks(g: Graph) -> BlockDecomposition:
+    """Biconnected components, cut vertices, and the block graph."""
+    cut_set, raw_blocks = _tarjan(g)
     block_list = tuple(sorted(raw_blocks, key=sorted))
-    cut_set = frozenset(cuts)
     b = len(block_list)
     bg_edges = [
         (i, j)
@@ -379,27 +366,13 @@ def girth(g: Graph) -> int | None:
     _require_connected(g)
     if g.edge_count == g.n - 1:
         return None
-    best: int | None = None
+    # A connected graph that is not a tree has a cycle of length <= n.
+    best = g.n + 1
     for u, v in g.edges():
-        # BFS from u to v in g minus edge (u, v)
-        dist = UNREACHABLE
-        seen = 1 << u
-        frontier = seen
-        d = 0
-        while frontier and dist == UNREACHABLE:
-            d += 1
-            nxt = 0
-            for w in bits(frontier):
-                row = g.adj[w]
-                if w == u:
-                    row &= ~(1 << v)
-                elif w == v:
-                    row &= ~(1 << u)
-                nxt |= row
-            frontier = nxt & ~seen
-            seen |= frontier
-            if frontier >> v & 1:
-                dist = d
-        if dist != UNREACHABLE and (best is None or dist + 1 < best):
-            best = dist + 1
+        for d, level in enumerate(bfs_levels(without_edge(g.adj, u, v), u)):
+            if d + 1 >= best:
+                break
+            if level >> v & 1:
+                best = d + 1
+                break
     return best

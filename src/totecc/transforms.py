@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .graph import Graph, bits, blocks, is_connected
+from .graph import Graph, _reach, bits, blocks, is_connected, without_edge
 
 
 class InvalidSiteError(ValueError):
@@ -203,18 +203,11 @@ def _components_without(g: Graph, v: int) -> list[set[int]]:
     todo = ((1 << g.n) - 1) & ~banned
     comps = []
     while todo:
-        start = (todo & -todo).bit_length() - 1
-        seen = 1 << start
-        frontier = seen
-        while frontier:
-            nxt = 0
-            for u in bits(frontier):
-                nxt |= g.adj[u]
-            frontier = nxt & ~seen & ~banned
-            seen |= frontier
+        # each search starts at the lowest vertex not yet placed
+        seen = _reach(g.adj, (todo & -todo).bit_length() - 1, banned)
         comps.append(set(bits(seen)))
         todo &= ~seen
-    return sorted(comps, key=min)
+    return comps
 
 
 def block_to_cycle(g: Graph, block_index: int) -> Graph:
@@ -452,17 +445,7 @@ def shrink_girth_to_3(g: Graph, site: ShrinkSite) -> Graph:
 
 def _split_on_edge(g: Graph, u: int, p: int) -> tuple[set[int], set[int]] | None:
     """Components (host side of u, tadpole side of p) of g minus edge up."""
-    seen = 1 << p
-    frontier = seen
-    while frontier:
-        nxt = 0
-        for v in bits(frontier):
-            row = g.adj[v]
-            if v == p:
-                row &= ~(1 << u)
-            nxt |= row
-        frontier = nxt & ~seen
-        seen |= frontier
+    seen = _reach(without_edge(g.adj, u, p), p)
     if seen >> u & 1:
         return None
     tad = set(bits(seen))

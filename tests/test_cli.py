@@ -103,6 +103,17 @@ class TestRewrite:
         code, _, err = run(capsys, "rewrite", "graft", "--graph6", g6)
         assert code == 2 and "no valid" in err
 
+    def test_merge_sites_keep_block_member_order(self, capsys):
+        # frozenset iteration order follows how the DFS filled each block
+        code, out, _ = run(
+            capsys, "rewrite", "merge-cycles", "--graph6", "KsCK?_DG?AAO", "--list-sites"
+        )
+        assert code == 0
+        assert out == (
+            "0: MergeCyclesSite(shared=3, cycle_a=frozenset({0, 3, 11, 6}), "
+            "cycle_b=frozenset({3, 4, 5, 7, 8}))\n"
+        )
+
 
 class TestEnumerate:
     def test_counts(self, capsys):
@@ -123,10 +134,23 @@ class TestEnumerate:
         assert len(target.read_text().split()) == 6
 
     def test_workers_match_serial(self, capsys):
-        code, serial, _ = run(capsys, "enumerate", "-n", "6")
-        code2, parallel, _ = run(capsys, "enumerate", "-n", "6", "--workers", "2")
+        code, serial, _ = run(capsys, "enumerate", "-n", "7")
+        code2, parallel, _ = run(capsys, "enumerate", "-n", "7", "--workers", "2")
         assert code == code2 == 0
-        assert sorted(serial.split()) == sorted(parallel.split())
+        assert len(serial.split()) == 853
+        assert parallel == serial
+
+    def test_workers_apply_class_in_order(self, capsys):
+        _, serial, _ = run(capsys, "enumerate", "-n", "7", "--class", "cut_count=2")
+        _, parallel, _ = run(
+            capsys, "enumerate", "-n", "7", "--class", "cut_count=2", "--workers", "3"
+        )
+        assert serial and parallel == serial
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_rejected(self, capsys, workers):
+        code, out, err = run(capsys, "enumerate", "-n", "4", "--workers", workers)
+        assert code == 2 and out == "" and err.startswith("error: ")
 
 
 class TestSearch:
@@ -172,6 +196,24 @@ class TestVerify:
         assert rows and all(r["status"] == "pass" for r in rows)
 
 
+    @pytest.mark.parametrize("orders", ["12", "8..3"])
+    def test_no_applicable_order_is_usage_error(self, capsys, orders):
+        code, out, err = run(capsys, "verify", "-n", orders, "--format", "json")
+        assert code == 2 and out == "" and "error: " in err
+
+    def test_theorem_outside_its_range_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "verify", "--theorem", "unicyclic", "-n", "3..4")
+        assert code == 2 and out == "" and "error: " in err
+
+    def test_all_skips_only_inapplicable_orders(self, capsys):
+        code, out, _ = run(capsys, "verify", "-n", "3..5", "--format", "json")
+        assert code == 1  # the n = 5 uniqueness defect
+        theorems = {(v["theorem"], v["n"]) for v in json.loads(out)["verdicts"]}
+        assert ("tree-max", 4) in theorems and ("unicyclic-min", 5) in theorems
+        assert not any(t.startswith("unicyclic") and n < 5 for t, n in theorems)
+        assert not any(t.startswith("tree") and n < 4 for t, n in theorems)
+
+
 class TestConjecture:
     def test_pass_range(self, capsys):
         code, out, _ = run(capsys, "conjecture", "-n", "6..7")
@@ -184,6 +226,12 @@ class TestConjecture:
         statuses = {v["parameter"]: v["status"] for v in payload["verdicts"]}
         assert statuses[2] == "conjecture-violated"
         assert "violation" in err
+
+
+    @pytest.mark.parametrize("orders", ["8..3", "5"])
+    def test_no_case_is_usage_error(self, capsys, orders):
+        code, out, err = run(capsys, "conjecture", "-n", orders)
+        assert code == 2 and "error: " in err and "no conjecture violations" not in err
 
 
 class TestUsage:

@@ -242,6 +242,19 @@ class TestDispatch:
         with pytest.raises(ValueError):
             verify_theorem("fermat", 6)
 
+    def test_tree_invariant_breaks_raise(self, monkeypatch):
+        # explicit raises, so the checks survive python -O
+        real = families.double_broom
+        monkeypatch.setattr(
+            families, "double_broom", lambda l, m, d: real(l, m, d + (l == 1))
+        )
+        with pytest.raises(RuntimeError, match="double brooms disagree"):
+            verify_tree_theorems(7)
+        monkeypatch.setattr(families, "double_broom", real)
+        monkeypatch.setattr(families, "double_spider", lambda n, k, t: families.path(n - t + 1))
+        with pytest.raises(RuntimeError, match="spider minimizers disagree"):
+            verify_tree_theorems(8)
+
     def test_range_validation(self):
         with pytest.raises(ValueError):
             verify_pendant_max(10)

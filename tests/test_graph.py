@@ -13,6 +13,7 @@ from totecc.graph import (
     Graph,
     average_eccentricity,
     bfs_distances,
+    bfs_levels,
     blocks,
     center,
     cut_vertices,
@@ -27,6 +28,7 @@ from totecc.graph import (
     radius,
     total_eccentricity,
     wiener_index,
+    without_edge,
 )
 
 # Figure-pair fixture: 7-edge graph vs bowtie, Wiener and total eccentricity
@@ -61,6 +63,40 @@ class TestGraphType:
     def test_relabel_identity(self):
         g = families.star(5)
         assert g.relabel((0, 1, 2, 3, 4)) == g
+
+
+class TestBfsLevels:
+    def test_path_levels(self):
+        assert list(bfs_levels(families.path(4).adj, 1)) == [0b0010, 0b0101, 0b1000]
+
+    def test_single_vertex(self):
+        assert list(bfs_levels(Graph(1, (0,)).adj, 0)) == [1]
+
+    def test_stops_at_component(self):
+        assert list(bfs_levels(TWO_COMPONENTS.adj, 2)) == [0b0100, 0b1000]
+
+    def test_banned_vertices_never_entered(self):
+        # deleting the middle of P5 leaves vertex 0 with only its neighbor
+        assert list(bfs_levels(families.path(5).adj, 0, banned=1 << 2)) == [0b1, 0b10]
+        # a banned vertex off the shortest routes only lengthens the cycle walk
+        c6 = families.cycle(6)
+        assert list(bfs_levels(c6.adj, 0, banned=1 << 5)) == [1 << k for k in range(5)]
+
+    def test_removed_edge(self):
+        c5 = families.cycle(5)
+        rows = without_edge(c5.adj, 0, 1)
+        assert c5.adj == families.cycle(5).adj  # the graph's rows are untouched
+        levels = list(bfs_levels(rows, 0))
+        assert levels == [0b00001, 0b10000, 0b01000, 0b00100, 0b00010]
+        # the removed edge is a bridge in P3: its far side is unreachable
+        assert list(bfs_levels(without_edge(families.path(3).adj, 1, 2), 0)) == [0b1, 0b10]
+
+    def test_levels_are_distance_classes(self):
+        for g in (G1, families.dumbbell(3, 4, 9), families.spider_balanced(8, 3)):
+            for v in range(g.n):
+                dist = bfs_distances(g, v).dist
+                for d, level in enumerate(bfs_levels(g.adj, v)):
+                    assert level == sum(1 << u for u in range(g.n) if dist[u] == d)
 
 
 class TestDistances:
@@ -99,9 +135,17 @@ class TestEccentricity:
         # hand BFS on the 5-vertex tadpole: pendant end reaches depth 3
         assert eccentricity(families.tadpole_l(5, 3), 4) == 3
 
+    def test_vertex_out_of_range(self):
+        with pytest.raises(ValueError, match="out of range"):
+            eccentricity(families.path(3), 3)
+        with pytest.raises(ValueError, match="out of range"):
+            eccentricity(families.path(3), -1)
+
     def test_disconnected_rejected(self):
         with pytest.raises(DisconnectedGraphError):
             eccentricity(TWO_COMPONENTS, 0)
+        with pytest.raises(DisconnectedGraphError):
+            eccentricities(TWO_COMPONENTS)
         with pytest.raises(DisconnectedGraphError):
             total_eccentricity(TWO_COMPONENTS)
         with pytest.raises(DisconnectedGraphError):
@@ -164,6 +208,8 @@ class TestCutVertices:
     def test_disconnected_rejected(self):
         with pytest.raises(DisconnectedGraphError):
             cut_vertices(TWO_COMPONENTS)
+        with pytest.raises(DisconnectedGraphError):
+            blocks(TWO_COMPONENTS)
         with pytest.raises(DisconnectedGraphError):
             cut_vertices_by_deletion(TWO_COMPONENTS)
 
