@@ -6,27 +6,17 @@ verification of the extremal statements they support.
 """
 
 from .canon import CanonResult, automorphism_orbits, canon, canonical_form, canonical_graph
-from .enumeration import (
-    ClassConstraint,
-    connected_graph_list,
-    connected_graphs,
-    connected_graphs_dedup,
-    count_class,
-    filter_graphs,
-    parse_constraint,
-)
+from .enumeration import connected_graph_list, connected_graphs, connected_graphs_dedup
 from .extremal import (
+    ClassConstraint,
     ExtremalReport,
     Verdict,
     check_conjecture,
+    count_class,
+    filter_graphs,
+    parse_constraint,
     search,
-    verify_cut_max,
-    verify_cut_min,
-    verify_pendant_max,
-    verify_pendant_min,
     verify_theorem,
-    verify_tree_theorems,
-    verify_unicyclic,
 )
 from .families import FamilySpec, parse_family
 from .graph import (
@@ -94,12 +84,6 @@ __all__ = [
     "radius",
     "search",
     "total_eccentricity",
-    "verify_cut_max",
-    "verify_cut_min",
-    "verify_pendant_max",
-    "verify_pendant_min",
     "verify_theorem",
-    "verify_tree_theorems",
-    "verify_unicyclic",
     "wiener_index",
 ]

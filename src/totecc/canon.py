@@ -123,7 +123,8 @@ def canon(g: Graph) -> CanonResult:
                 best_code = code
                 best_perm = perm
             elif code == best_code:
-                assert best_perm is not None
+                if best_perm is None:
+                    raise RuntimeError("canon: a leaf tied with no stored best leaf")
                 gamma = [0] * n
                 for bp, p in zip(best_perm, perm):
                     gamma[bp] = p
@@ -172,29 +173,17 @@ def canon(g: Graph) -> CanonResult:
 
     initial = _refine(adj, [full], [full])
     search(initial, [])
-    assert best_code is not None and best_perm is not None
+    if best_code is None or best_perm is None:
+        raise RuntimeError("canon: the search reached no leaf")
 
     orbit = tuple(uf.find(v) for v in range(n))
     form = n.to_bytes(2, "big") + best_code
     return CanonResult(form, best_perm, orbit, tuple(gens))
 
 
-# Small cache: enumeration streams call canon() directly and manage their
-# own reuse; this cache serves the public wrappers (tests, witness sort).
-_FORM_CACHE: dict[tuple[int, tuple[int, ...]], bytes] = {}
-_FORM_CACHE_LIMIT = 1 << 17
-
-
 def canonical_form(g: Graph) -> bytes:
     """Canonical byte string: equal iff isomorphic."""
-    key = (g.n, g.adj)
-    cached = _FORM_CACHE.get(key)
-    if cached is not None:
-        return cached
-    form = canon(g).form
-    if len(_FORM_CACHE) < _FORM_CACHE_LIMIT:
-        _FORM_CACHE[key] = form
-    return form
+    return canon(g).form
 
 
 def canonical_graph(g: Graph) -> Graph:

@@ -19,7 +19,7 @@ import sys
 from typing import Sequence
 
 from . import enumeration, extremal, families, formulas, graph6, transforms
-from .enumeration import parse_constraint
+from .extremal import filter_graphs, parse_constraint
 from .graph import (
     Graph,
     average_eccentricity,
@@ -156,12 +156,12 @@ def _cmd_rewrite(args: argparse.Namespace) -> int:
 
 
 def _enumerate_shard(
-    task: tuple[int, int, int, bool, enumeration.ClassConstraint]
+    task: tuple[int, int, int, bool, extremal.ClassConstraint]
 ) -> list[list[str]]:
     """graph6 lines of one shard's class members, one list per level-6 subtree."""
     n, idx, workers, allow_large, constraint = task
     return [
-        [graph6.encode(g) for g in enumeration.filter_graphs(subtree, constraint)]
+        [graph6.encode(g) for g in filter_graphs(subtree, constraint)]
         for subtree in enumeration._subtrees(n, (idx, workers), allow_large)
     ]
 
@@ -191,7 +191,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
             ]
         else:
             graphs = enumeration.connected_graphs(args.n, allow_large=args.allow_large)
-            lines = (graph6.encode(g) for g in enumeration.filter_graphs(graphs, constraint))
+            lines = (graph6.encode(g) for g in filter_graphs(graphs, constraint))
         count = 0
         for line in lines:
             out.write(line + "\n")

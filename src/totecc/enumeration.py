@@ -1,4 +1,4 @@
-"""Isomorph-free streams of connected graphs with class predicates.
+"""Isomorph-free streams of connected graphs, and the oracles that check them.
 
 The primary stream grows graphs one vertex at a time (orderly / canonical
 construction path): a child made by attaching vertex k to a neighbor
@@ -12,16 +12,17 @@ level-6 subtree roots.
 
 connected_graphs_dedup() is the independent fallback (extend everything,
 dedup by canonical form); the test suite checks both agree for n <= 7.
+labeled_graphs() and labeled_connected_count() are the brute-force
+oracle for the counts.  Class predicates live in extremal.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .canon import canon
-from .graph import Graph, cut_vertices, girth, is_connected, pendant_vertices
+from .graph import Graph, cut_vertices, is_connected
 
 #: Exhaustive enumeration cap; n = 10 (~11.7M classes) needs the explicit
 #: opt-in and realistically also sharded workers.
@@ -165,95 +166,6 @@ def connected_graphs_dedup(n: int) -> list[Graph]:
                     nxt.append(child)
         level = nxt
     return level
-
-
-_KINDS = {
-    "all",
-    "pendant_count",
-    "cut_count",
-    "tree",
-    "tree_with_pendants",
-    "unicyclic",
-    "unicyclic_girth",
-}
-
-
-@dataclass(frozen=True)
-class ClassConstraint:
-    """Predicate picking one of the graph classes under study."""
-
-    kind: str
-    param: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown class kind {self.kind!r}")
-        needs_param = self.kind in {
-            "pendant_count",
-            "cut_count",
-            "tree_with_pendants",
-            "unicyclic_girth",
-        }
-        if needs_param:
-            if self.param is None or self.param < 0:
-                raise ValueError(f"class {self.kind} needs a parameter >= 0")
-            if self.kind == "unicyclic_girth" and self.param < 3:
-                raise ValueError("girth parameter must be >= 3")
-        elif self.param is not None:
-            raise ValueError(f"class {self.kind} takes no parameter")
-
-    def validate_for(self, n: int) -> None:
-        """Range checks that depend on the order under enumeration."""
-        k = self.param
-        if self.kind in ("pendant_count", "tree_with_pendants") and not 0 <= k <= n:
-            raise ValueError(f"pendant count must be in 0..{n}")
-        if self.kind == "cut_count" and not 0 <= k <= max(n - 2, 0):
-            raise ValueError(f"cut count must be in 0..{max(n - 2, 0)}")
-        if self.kind == "unicyclic_girth" and not 3 <= k <= n:
-            raise ValueError(f"girth must be in 3..{n}")
-
-    def matches(self, g: Graph) -> bool:
-        kind, k = self.kind, self.param
-        if kind == "all":
-            return True
-        if kind == "pendant_count":
-            return len(pendant_vertices(g)) == k
-        if kind == "cut_count":
-            return len(cut_vertices(g)) == k
-        if kind == "tree":
-            return g.edge_count == g.n - 1
-        if kind == "tree_with_pendants":
-            return g.edge_count == g.n - 1 and len(pendant_vertices(g)) == k
-        if kind == "unicyclic":
-            return g.edge_count == g.n
-        if kind == "unicyclic_girth":
-            return g.edge_count == g.n and girth(g) == k
-        raise AssertionError(kind)
-
-    def __str__(self) -> str:
-        return self.kind if self.param is None else f"{self.kind}={self.param}"
-
-
-def parse_constraint(text: str) -> ClassConstraint:
-    """Parse CLI spellings like 'all', 'tree', 'pendant_count=2', 'cut_count=3'."""
-    t = text.strip().lower().replace("-", "_")
-    if "=" in t:
-        kind, _, value = t.partition("=")
-        return ClassConstraint(kind, int(value))
-    return ClassConstraint(t)
-
-
-def filter_graphs(stream: Iterable[Graph], constraint: ClassConstraint) -> Iterator[Graph]:
-    """Members of the stream satisfying the class predicate."""
-    for g in stream:
-        if constraint.matches(g):
-            yield g
-
-
-def count_class(n: int, constraint: ClassConstraint) -> int:
-    """Cardinality of the constrained class among order-n representatives."""
-    constraint.validate_for(n)
-    return sum(1 for _ in filter_graphs(connected_graph_list(n), constraint))
 
 
 def labeled_graphs(n: int) -> Iterator[Graph]:

@@ -1,23 +1,27 @@
-"""Exhaustive extremal search and automated theorem/conjecture checking.
+"""Class predicates, exhaustive extremal search and theorem/conjecture checking.
 
-search() folds the enumeration stream into an exact extremum with the
-complete witness list up to isomorphism.  The verify_* functions turn
-each extremal statement into Verdict records; uniqueness is asserted only
-where the source states an equivalence ("if and only if" / "uniquely"),
-otherwise only witness membership is required and the observed witness
-set is reported for inspection.  A conjecture violation is a reportable
-finding, never an exception.
+A graph's class invariants are computed once into a Profile, and
+ClassConstraint.matches(profile) is the one class predicate.  search()
+folds the cached per-order table of profiles into an exact extremum with
+the complete witness list up to isomorphism.  Each theorem is a table
+row: the orders and parameters it covers, and for each parameter one or
+more statements (class, objective, predicted extremum and extremal
+graphs), all checked by _check into Verdict records.  Uniqueness is
+asserted only where the source states an equivalence ("if and only if" /
+"uniquely"), otherwise only witness membership is required and the
+observed witness set is reported for inspection.  A conjecture violation
+is a reportable finding, never an exception.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from typing import NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from . import families, formulas, graph6
 from .canon import canonical_graph
-from .enumeration import ClassConstraint, connected_graph_list
+from .enumeration import connected_graph_list
 from .graph import Graph, cut_vertices, girth, pendant_vertices, total_eccentricity
 
 PASS = "pass"
@@ -25,6 +29,120 @@ FAIL = "fail"
 UNIQUENESS_FAIL = "uniqueness-fail"
 SKIPPED = "skipped"
 CONJECTURE_VIOLATED = "conjecture-violated"
+
+
+class Profile(NamedTuple):
+    """The invariants every class predicate reads, computed once per graph."""
+
+    graph: Graph
+    pendants: int
+    cuts: int
+    is_tree: bool
+    cycle_len: int | None  # girth when unicyclic, else None
+
+
+def profile(g: Graph) -> Profile:
+    """The class invariants of one connected graph."""
+    m = g.edge_count
+    return Profile(
+        g,
+        len(pendant_vertices(g)),
+        len(cut_vertices(g)),
+        m == g.n - 1,
+        girth(g) if m == g.n else None,
+    )
+
+
+_KINDS = {
+    "all",
+    "pendant_count",
+    "cut_count",
+    "tree",
+    "tree_with_pendants",
+    "unicyclic",
+    "unicyclic_girth",
+}
+
+
+@dataclass(frozen=True)
+class ClassConstraint:
+    """Predicate picking one of the graph classes under study."""
+
+    kind: str
+    param: int | None = None
+
+    def __post_init__(self) -> None:
+        if self.kind not in _KINDS:
+            raise ValueError(f"unknown class kind {self.kind!r}")
+        needs_param = self.kind in {
+            "pendant_count",
+            "cut_count",
+            "tree_with_pendants",
+            "unicyclic_girth",
+        }
+        if needs_param:
+            if self.param is None or self.param < 0:
+                raise ValueError(f"class {self.kind} needs a parameter >= 0")
+            if self.kind == "unicyclic_girth" and self.param < 3:
+                raise ValueError("girth parameter must be >= 3")
+        elif self.param is not None:
+            raise ValueError(f"class {self.kind} takes no parameter")
+
+    def validate_for(self, n: int) -> None:
+        """Range checks that depend on the order under enumeration."""
+        k = self.param
+        if self.kind in ("pendant_count", "tree_with_pendants") and not 0 <= k <= n:
+            raise ValueError(f"pendant count must be in 0..{n}")
+        if self.kind == "cut_count" and not 0 <= k <= max(n - 2, 0):
+            raise ValueError(f"cut count must be in 0..{max(n - 2, 0)}")
+        if self.kind == "unicyclic_girth" and not 3 <= k <= n:
+            raise ValueError(f"girth must be in 3..{n}")
+
+    def matches(self, p: Profile) -> bool:
+        kind, k = self.kind, self.param
+        if kind == "all":
+            return True
+        if kind == "pendant_count":
+            return p.pendants == k
+        if kind == "cut_count":
+            return p.cuts == k
+        if kind == "tree":
+            return p.is_tree
+        if kind == "tree_with_pendants":
+            return p.is_tree and p.pendants == k
+        if kind == "unicyclic":
+            return p.cycle_len is not None
+        if kind == "unicyclic_girth":
+            return p.cycle_len == k
+        raise AssertionError(kind)
+
+    def __str__(self) -> str:
+        return self.kind if self.param is None else f"{self.kind}={self.param}"
+
+
+def parse_constraint(text: str) -> ClassConstraint:
+    """Parse CLI spellings like 'all', 'tree', 'pendant_count=2', 'cut_count=3'."""
+    t = text.strip().lower().replace("-", "_")
+    if "=" in t:
+        kind, _, value = t.partition("=")
+        return ClassConstraint(kind, int(value))
+    return ClassConstraint(t)
+
+
+def filter_graphs(stream: Iterable[Graph], constraint: ClassConstraint) -> Iterator[Graph]:
+    """Members of the stream satisfying the class predicate."""
+    if constraint.kind == "all":
+        yield from stream
+        return
+    for g in stream:
+        if constraint.matches(profile(g)):
+            yield g
+
+
+def count_class(n: int, constraint: ClassConstraint) -> int:
+    """Cardinality of the constrained class among order-n representatives."""
+    constraint.validate_for(n)
+    return sum(1 for p in _class_table(n)[0] if constraint.matches(p))
 
 
 @dataclass(frozen=True)
@@ -61,50 +179,11 @@ class Verdict:
         return self.status in (PASS, SKIPPED)
 
 
-class _Row(NamedTuple):
-    graph: Graph
-    eps: int
-    pendants: int
-    cuts: int
-    is_tree: bool
-    cycle_len: int | None  # girth when unicyclic, else None
-
-
 @lru_cache(maxsize=None)
-def _class_table(n: int) -> tuple[_Row, ...]:
-    rows = []
-    for g in connected_graph_list(n):
-        unicyclic = g.edge_count == g.n
-        rows.append(
-            _Row(
-                g,
-                total_eccentricity(g),
-                len(pendant_vertices(g)),
-                len(cut_vertices(g)),
-                g.edge_count == g.n - 1,
-                girth(g) if unicyclic else None,
-            )
-        )
-    return tuple(rows)
-
-
-def _row_matches(row: _Row, c: ClassConstraint) -> bool:
-    kind, k = c.kind, c.param
-    if kind == "all":
-        return True
-    if kind == "pendant_count":
-        return row.pendants == k
-    if kind == "cut_count":
-        return row.cuts == k
-    if kind == "tree":
-        return row.is_tree
-    if kind == "tree_with_pendants":
-        return row.is_tree and row.pendants == k
-    if kind == "unicyclic":
-        return row.cycle_len is not None
-    if kind == "unicyclic_girth":
-        return row.cycle_len == k
-    raise AssertionError(kind)
+def _class_table(n: int) -> tuple[tuple[Profile, ...], tuple[int, ...]]:
+    """Profiles of the order-n class representatives, with their totals in parallel."""
+    graphs = connected_graph_list(n)
+    return tuple([profile(g) for g in graphs]), tuple([total_eccentricity(g) for g in graphs])
 
 
 def _g6(g: Graph) -> str:
@@ -127,15 +206,15 @@ def _search_or_none(n: int, constraint: ClassConstraint, objective: str) -> Extr
     witnesses: list[Graph] = []
     size = 0
     better = (lambda a, b: a < b) if objective == "min" else (lambda a, b: a > b)
-    for row in _class_table(n):
-        if not _row_matches(row, constraint):
+    for p, eps in zip(*_class_table(n)):
+        if not constraint.matches(p):
             continue
         size += 1
-        if best is None or better(row.eps, best):
-            best = row.eps
-            witnesses = [row.graph]
-        elif row.eps == best:
-            witnesses.append(row.graph)
+        if best is None or better(eps, best):
+            best = eps
+            witnesses = [p.graph]
+        elif eps == best:
+            witnesses.append(p.graph)
     if best is None:
         return None
     encoded = tuple(sorted(_g6(g) for g in witnesses))
@@ -180,142 +259,201 @@ def _verdict(
     )
 
 
-def verify_pendant_max(n: int) -> list[Verdict]:
-    """Maximum total eccentricity with k pendant vertices, k = 0..n-3.
 
-    k >= 2: the double brooms attain the closed-form bound (membership);
+
+class _Prediction(NamedTuple):
+    value: int
+    witnesses: list[Graph]
+    unique: bool
+    note: str = ""
+
+
+class _Statement(NamedTuple):
+    """One extremal claim: over ClassConstraint(kind, parameter), objective is predicted."""
+
+    theorem: str
+    kind: str
+    objective: str
+    predict: Callable[[int, int | None], _Prediction]
+
+
+class _Theorem(NamedTuple):
+    """The orders a theorem covers, its parameters per order, and its statements."""
+
+    orders: range
+    parameters: Callable[[int], Iterable[int | None]]
+    statements: tuple[_Statement, ...]
+
+
+def _check(theorem: _Theorem, n: int) -> list[Verdict]:
+    """Verdicts for every parameter at order n, statements in row order."""
+    verdicts = []
+    for p in theorem.parameters(n):
+        for st in theorem.statements:
+            value, witnesses, unique, note = st.predict(n, p)
+            report = _search_or_none(n, ClassConstraint(st.kind, p), st.objective)
+            verdicts.append(_verdict(st.theorem, n, p, value, witnesses, report, unique, note))
+    return verdicts
+
+
+def _common_value(graphs: list[Graph], what: str, n: int, k: int) -> int:
+    """The one total shared by graphs that must tie; raises if they do not."""
+    values = {total_eccentricity(g) for g in graphs}
+    if len(values) != 1:
+        raise RuntimeError(f"{what} disagree at (n={n}, k={k})")
+    return values.pop()
+
+
+def _pendant_max(n: int, k: int) -> _Prediction:
+    """k >= 2: the double brooms attain the closed-form bound (membership);
     k = 1: unique maximizer is the triangle tadpole (for n >= 5);
     k = 0: unique maximizer is the two-triangle dumbbell for n >= 7 and
     the cycle for 3 <= n <= 6.
     """
-    if not 3 <= n <= 9:
-        raise ValueError("verify_pendant_max needs 3 <= n <= 9")
-    verdicts = []
-    for k in range(0, n - 2):
-        report = _search_or_none(n, ClassConstraint("pendant_count", k), "max")
-        if k == 0:
-            if n >= 7:
-                value = formulas.eps_c33(n)
-                witnesses = [families.dumbbell(3, 3, n)]
-            else:
-                value = formulas.eps_cycle(n)
-                witnesses = [families.cycle(n)]
-            unique = True
-        elif k == 1:
-            g = families.tadpole_l(n, 3)
-            value = total_eccentricity(g)
-            witnesses = [g]
-            unique = n >= 5
-        else:
-            value = formulas.eps_double_broom_max(n, k)
-            witnesses = [families.double_broom(l, k - l, n - k) for l in range(1, k)]
-            unique = False
-        verdicts.append(_verdict("pendant-max", n, k, value, witnesses, report, unique))
-    return verdicts
+    if k == 0 and n >= 7:
+        return _Prediction(formulas.eps_c33(n), [families.dumbbell(3, 3, n)], True)
+    if k == 0:
+        return _Prediction(formulas.eps_cycle(n), [families.cycle(n)], True)
+    if k == 1:
+        g = families.tadpole_l(n, 3)
+        return _Prediction(total_eccentricity(g), [g], n >= 5)
+    brooms = [families.double_broom(l, k - l, n - k) for l in range(1, k)]
+    return _Prediction(formulas.eps_double_broom_max(n, k), brooms, False)
 
 
-def verify_pendant_min(n: int) -> list[Verdict]:
-    """Minimum total eccentricity with k pendant vertices.
-
-    k = 0 is uniquely minimized by the complete graph; for 1 <= k <= n-3
+def _pendant_min(n: int, k: int) -> _Prediction:
+    """k = 0 is uniquely minimized by the complete graph; for 1 <= k <= n-3
     the minimum is 2n-1 with the pendant-decorated clique among the
     witnesses (uniqueness is not claimed).
     """
-    if not 3 <= n <= 9:
-        raise ValueError("verify_pendant_min needs 3 <= n <= 9")
-    verdicts = [
-        _verdict(
-            "pendant-min",
-            n,
-            0,
-            n,
-            [families.complete(n)],
-            _search_or_none(n, ClassConstraint("pendant_count", 0), "min"),
-            True,
-        )
-    ]
-    for k in range(1, n - 2):
-        report = _search_or_none(n, ClassConstraint("pendant_count", k), "min")
-        witnesses = [families.complete_with_pendants(n, k)]
-        verdicts.append(_verdict("pendant-min", n, k, 2 * n - 1, witnesses, report, False))
-    return verdicts
+    if k == 0:
+        return _Prediction(n, [families.complete(n)], True)
+    return _Prediction(2 * n - 1, [families.complete_with_pendants(n, k)], False)
 
 
-def verify_unicyclic(n: int) -> list[Verdict]:
-    """Unicyclic minimum (pendant tadpole) and maximum (path tadpole).
+# The unicyclic bounds are equalities exactly at the girth-3 tadpoles, so
+# uniqueness is asserted on both sides.
+def _unicyclic_min(n: int, _: None) -> _Prediction:
+    return _Prediction(2 * n - 1, [families.tadpole_p(n, 3)], True)
 
-    Both bounds are equalities exactly at the girth-3 tadpoles, so
-    uniqueness is asserted on both sides.
+
+def _unicyclic_max(n: int, _: None) -> _Prediction:
+    return _Prediction(formulas.eps_unicyclic_max(n), [families.tadpole_l(n, 3)], True)
+
+
+def _cut_min(n: int, s: int) -> _Prediction:
+    """The balanced clique-with-paths value."""
+    return _Prediction(formulas.eps_kmn_balanced(n, s), [families.kmn_balanced(n, s)], False)
+
+
+def _cut_max(n: int, s: int) -> _Prediction:
+    """The settled cases s = 0, 1, n-3, n-2."""
+    if s == n - 2:
+        return _Prediction(formulas.eps_path(n), [families.path(n)], True, "singleton class: the path")
+    if s == 0:
+        return _Prediction(formulas.eps_cycle(n), [families.cycle(n)], False)
+    if s == 1 == n - 3:
+        witnesses = [families.star(4), families.tadpole_l(4, 3)]
+        return _Prediction(7, witnesses, True, "n=4: the star and the triangle tadpole tie")
+    if s == 1:
+        return _Prediction(formulas.eps_lollipop_max(n), [families.tadpole_l(n, n - 1)], False)
+    # s == n - 3, n >= 5
+    return _Prediction(formulas.eps_unicyclic_max(n), [families.tadpole_l(n, 3)], False)
+
+
+def _tree_max(n: int, k: int) -> _Prediction:
+    """Every double broom T(l, k-l, n-k) attains it (all l give one value)."""
+    if k == n - 1:
+        return _star(n)
+    brooms = [families.double_broom(l, k - l, n - k) for l in range(1, k)]
+    return _Prediction(_common_value(brooms, "double brooms", n, k), brooms, False)
+
+
+def _tree_min(n: int, k: int) -> _Prediction:
+    """The balanced spider when k does not divide n-2, otherwise every
+    two-hub spider T^t.  Values come from BFS on the constructed trees;
+    closed forms for the minima are out of scope.
     """
-    if not 5 <= n <= 9:
-        raise ValueError("verify_unicyclic needs 5 <= n <= 9")
-    constraint = ClassConstraint("unicyclic")
-    lo = _verdict(
-        "unicyclic-min",
-        n,
-        None,
-        2 * n - 1,
-        [families.tadpole_p(n, 3)],
-        _search_or_none(n, constraint, "min"),
-        True,
-    )
-    hi = _verdict(
-        "unicyclic-max",
-        n,
-        None,
-        formulas.eps_unicyclic_max(n),
-        [families.tadpole_l(n, 3)],
-        _search_or_none(n, constraint, "max"),
-        True,
-    )
-    return [lo, hi]
+    if k == n - 1:
+        return _star(n)
+    if (n - 2) % k == 0:
+        spiders = [families.double_spider(n, k, t) for t in range(1, k)]
+    else:
+        spiders = [families.spider_balanced(n, k)]
+    return _Prediction(_common_value(spiders, "spider minimizers", n, k), spiders, False)
 
 
-def verify_cut_min(n: int) -> list[Verdict]:
-    """Minimum with s cut vertices: the balanced clique-with-paths value."""
-    if not 3 <= n <= 9:
-        raise ValueError("verify_cut_min needs 3 <= n <= 9")
-    verdicts = []
-    for s in range(0, n - 1):
-        report = _search_or_none(n, ClassConstraint("cut_count", s), "min")
-        value = formulas.eps_kmn_balanced(n, s)
-        witnesses = [families.kmn_balanced(n, s)]
-        verdicts.append(_verdict("cut-min", n, s, value, witnesses, report, False))
-    return verdicts
+def _star(n: int) -> _Prediction:
+    """The star is the only tree with n-1 pendant vertices."""
+    star = families.star(n)
+    return _Prediction(total_eccentricity(star), [star], True)
 
 
-def verify_cut_max(n: int) -> list[Verdict]:
-    """Maximum with s cut vertices for the settled cases s = 0, 1, n-3, n-2."""
-    if not 3 <= n <= 9:
-        raise ValueError("verify_cut_max needs 3 <= n <= 9")
-    verdicts = []
-    for s in sorted({0, 1, n - 3, n - 2} & set(range(0, n - 1))):
-        report = _search_or_none(n, ClassConstraint("cut_count", s), "max")
-        note = ""
-        if s == n - 2:
-            value = formulas.eps_path(n)
-            witnesses = [families.path(n)]
-            unique = True
-            note = "singleton class: the path"
-        elif s == 0:
-            value = formulas.eps_cycle(n)
-            witnesses = [families.cycle(n)]
-            unique = False
-        elif s == 1 == n - 3:
-            value = 7
-            witnesses = [families.star(4), families.tadpole_l(4, 3)]
-            unique = True
-            note = "n=4: the star and the triangle tadpole tie"
-        elif s == 1:
-            value = formulas.eps_lollipop_max(n)
-            witnesses = [families.tadpole_l(n, n - 1)]
-            unique = False
-        else:  # s == n - 3, n >= 5
-            value = formulas.eps_unicyclic_max(n)
-            witnesses = [families.tadpole_l(n, 3)]
-            unique = False
-        verdicts.append(_verdict("cut-max", n, s, value, witnesses, report, unique, note))
-    return verdicts
+def _conjecture(n: int, s: int) -> _Prediction:
+    """The max over s cut vertices is attained by the tadpole U_{n,n-s}^l."""
+    tad = families.tadpole_l(n, n - s)
+    return _Prediction(total_eccentricity(tad), [tad], False)
+
+
+THEOREMS = {
+    # Maximum and minimum total eccentricity with k pendant vertices.
+    "pendant-max": _Theorem(
+        range(3, 10),
+        lambda n: range(0, n - 2),
+        (_Statement("pendant-max", "pendant_count", "max", _pendant_max),),
+    ),
+    "pendant-min": _Theorem(
+        range(3, 10),
+        lambda n: range(0, n - 2),
+        (_Statement("pendant-min", "pendant_count", "min", _pendant_min),),
+    ),
+    # Unicyclic minimum (pendant tadpole) and maximum (path tadpole).
+    "unicyclic": _Theorem(
+        range(5, 10),
+        lambda n: (None,),
+        (
+            _Statement("unicyclic-min", "unicyclic", "min", _unicyclic_min),
+            _Statement("unicyclic-max", "unicyclic", "max", _unicyclic_max),
+        ),
+    ),
+    # Minimum with s cut vertices, and the maximum where it is settled.
+    "cut-min": _Theorem(
+        range(3, 10),
+        lambda n: range(0, n - 1),
+        (_Statement("cut-min", "cut_count", "min", _cut_min),),
+    ),
+    "cut-max": _Theorem(
+        range(3, 10),
+        lambda n: sorted({0, 1, n - 3, n - 2} & set(range(0, n - 1))),
+        (_Statement("cut-max", "cut_count", "max", _cut_max),),
+    ),
+    # Tree extremes with k pendant vertices, k = 2..n-1.
+    "tree": _Theorem(
+        range(4, 10),
+        lambda n: range(2, n),
+        (
+            _Statement("tree-max", "tree_with_pendants", "max", _tree_max),
+            _Statement("tree-min", "tree_with_pendants", "min", _tree_min),
+        ),
+    ),
+}
+
+# The open case 2 <= s <= n-4 of the maximum with s cut vertices.
+CONJECTURE = _Theorem(
+    range(5, 10),
+    lambda n: range(2, n - 3),
+    (_Statement("conjecture", "cut_count", "max", _conjecture),),
+)
+
+
+def verify_theorem(theorem: str, n: int) -> list[Verdict]:
+    """Dispatch one named theorem at one order (empty if n out of range)."""
+    if theorem not in THEOREMS:
+        raise ValueError(f"unknown theorem {theorem!r}; known: {sorted(THEOREMS)}")
+    row = THEOREMS[theorem]
+    if n not in row.orders:
+        return []
+    return _check(row, n)
 
 
 def check_conjecture(n: int) -> list[Verdict]:
@@ -324,90 +462,16 @@ def check_conjecture(n: int) -> list[Verdict]:
     A violation is reported as a structured finding (counterexample graphs
     in graph6 with their totals), not raised as an error.
     """
-    if not 5 <= n <= 9:
+    if n not in CONJECTURE.orders:
         raise ValueError("check_conjecture needs 5 <= n <= 9")
-    verdicts = []
-    for s in range(2, n - 3):
-        tad = families.tadpole_l(n, n - s)
-        value = total_eccentricity(tad)
-        report = _search_or_none(n, ClassConstraint("cut_count", s), "max")
-        base = _verdict("conjecture", n, s, value, [tad], report, False)
-        if base.status == FAIL and report is not None and report.value > value:
-            over = [w for w in report.witnesses]
-            base = Verdict(
-                base.theorem,
-                n,
-                s,
-                value,
-                base.predicted_witnesses,
-                report.value,
-                report.witnesses,
-                report.class_size,
-                False,
-                CONJECTURE_VIOLATED,
-                f"max {report.value} exceeds tadpole value {value}",
-                tuple(over),
-            )
-        verdicts.append(base)
-    return verdicts
-
-
-def verify_tree_theorems(n: int) -> list[Verdict]:
-    """Tree extremes with k pendant vertices, k = 2..n-1.
-
-    Maximum: every double broom T(l, k-l, n-k) attains it (all l give one
-    value).  Minimum: the balanced spider when k does not divide n-2,
-    otherwise every two-hub spider T^t.  Values come from BFS on the
-    constructed trees; closed forms for the minima are out of scope.
-    """
-    if not 4 <= n <= 9:
-        raise ValueError("verify_tree_theorems needs 4 <= n <= 9")
-    verdicts = []
-    for k in range(2, n):
-        constraint = ClassConstraint("tree_with_pendants", k)
-        report_max = _search_or_none(n, constraint, "max")
-        report_min = _search_or_none(n, constraint, "min")
-        if k == n - 1:
-            star = families.star(n)
-            value = total_eccentricity(star)
-            verdicts.append(_verdict("tree-max", n, k, value, [star], report_max, True))
-            verdicts.append(_verdict("tree-min", n, k, value, [star], report_min, True))
-            continue
-        brooms = [families.double_broom(l, k - l, n - k) for l in range(1, k)]
-        broom_values = {total_eccentricity(t) for t in brooms}
-        if len(broom_values) != 1:
-            raise RuntimeError(f"double brooms disagree at (n={n}, k={k})")
-        verdicts.append(
-            _verdict("tree-max", n, k, broom_values.pop(), brooms, report_max, False)
+    return [
+        replace(
+            v,
+            status=CONJECTURE_VIOLATED,
+            note=f"max {v.observed_value} exceeds tadpole value {v.predicted_value}",
+            counterexamples=v.observed_witnesses,
         )
-        if (n - 2) % k == 0:
-            minimizers = [families.double_spider(n, k, t) for t in range(1, k)]
-        else:
-            minimizers = [families.spider_balanced(n, k)]
-        min_values = {total_eccentricity(t) for t in minimizers}
-        if len(min_values) != 1:
-            raise RuntimeError(f"spider minimizers disagree at (n={n}, k={k})")
-        verdicts.append(
-            _verdict("tree-min", n, k, min_values.pop(), minimizers, report_min, False)
-        )
-    return verdicts
-
-
-THEOREMS = {
-    "pendant-max": (verify_pendant_max, range(3, 10)),
-    "pendant-min": (verify_pendant_min, range(3, 10)),
-    "unicyclic": (verify_unicyclic, range(5, 10)),
-    "cut-min": (verify_cut_min, range(3, 10)),
-    "cut-max": (verify_cut_max, range(3, 10)),
-    "tree": (verify_tree_theorems, range(4, 10)),
-}
-
-
-def verify_theorem(theorem: str, n: int) -> list[Verdict]:
-    """Dispatch one named theorem at one order (empty if n out of range)."""
-    if theorem not in THEOREMS:
-        raise ValueError(f"unknown theorem {theorem!r}; known: {sorted(THEOREMS)}")
-    fn, valid = THEOREMS[theorem]
-    if n not in valid:
-        return []
-    return fn(n)
+        if v.status == FAIL and v.observed_value > v.predicted_value
+        else v
+        for v in _check(CONJECTURE, n)
+    ]

@@ -78,7 +78,7 @@ def eps_kmn_balanced(n: int, s: int) -> int:
       r = 1:  (q/2)(3mq + m + 2)
       r >= 2: (2r(2q+1) + q(3q+1)m) / 2
     Every branch divides exactly; a remainder would mean the formula and
-    construction disagree, so it is asserted.
+    construction disagree, so it raises RuntimeError.
     """
     if not 0 <= s <= n - 2:
         raise ValueError("eps_kmn_balanced needs 0 <= s <= n-2")
@@ -94,7 +94,8 @@ def eps_kmn_balanced(n: int, s: int) -> int:
         num = 2 * r * (2 * q + 1) + q * (3 * q + 1) * m
         den = 2
     value, rem = divmod(num, den)
-    assert rem == 0, f"non-integer branch value for (n={n}, s={s})"
+    if rem:
+        raise RuntimeError(f"non-integer branch value for (n={n}, s={s})")
     return value
 
 
@@ -119,7 +120,8 @@ def eps_dumbbell_shared(m1: int, m2: int) -> int:
     else:
         num = base - 2 * m1 - m2
     value, rem = divmod(num, 2)
-    assert rem == 0, f"non-integer dumbbell value for ({m1}, {m2})"
+    if rem:
+        raise RuntimeError(f"non-integer dumbbell value for ({m1}, {m2})")
     return value
 
 

@@ -29,9 +29,18 @@ from conftest import (
     glue_relocate,
     random_connected_graph,
 )
-from totecc import extremal, families, formulas, graph6, transforms
+from totecc import (
+    ClassConstraint,
+    count_class,
+    extremal,
+    families,
+    filter_graphs,
+    formulas,
+    graph6,
+    transforms,
+)
 from totecc.canon import canonical_form, canonical_graph
-from totecc.enumeration import ClassConstraint, connected_graph_list, count_class, filter_graphs
+from totecc.enumeration import connected_graph_list
 from totecc.extremal import CONJECTURE_VIOLATED, PASS, check_conjecture, verify_theorem
 from totecc.graph import (
     Graph,
@@ -279,7 +288,7 @@ THEOREM_CASES = [
     (n, name)
     for n in range(3, 9)
     for name in sorted(extremal.THEOREMS)
-    if n in extremal.THEOREMS[name][1]
+    if n in extremal.THEOREMS[name].orders
 ]
 
 

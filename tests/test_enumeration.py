@@ -5,20 +5,16 @@ import random
 import pytest
 
 from conftest import CONNECTED_COUNTS, TREE_COUNTS
-from totecc import families
+from totecc import ClassConstraint, count_class, families, filter_graphs, parse_constraint
 from totecc.canon import canonical_form
 from totecc.enumeration import (
-    ClassConstraint,
     connected_graph_list,
     connected_graphs,
     connected_graphs_dedup,
-    count_class,
-    filter_graphs,
     labeled_connected_count,
     labeled_graphs,
-    parse_constraint,
 )
-from totecc.graph import is_connected
+from totecc.graph import cut_vertices, girth, is_connected, pendant_vertices
 
 
 class TestStream:
@@ -200,6 +196,36 @@ class TestClasses:
                     )
                 }
                 assert with_cuts == with_pendants
+
+    def test_table_and_stream_profiles_agree(self):
+        # count_class reads the cached class table; filter_graphs profiles
+        # each graph as it streams by; the oracle reads the invariants directly.
+        def oracle(g, c):
+            tree, unicyclic = g.edge_count == g.n - 1, g.edge_count == g.n
+            pendants, cuts = len(pendant_vertices(g)), len(cut_vertices(g))
+            return {
+                "all": True,
+                "tree": tree,
+                "unicyclic": unicyclic,
+                "pendant_count": pendants == c.param,
+                "cut_count": cuts == c.param,
+                "tree_with_pendants": tree and pendants == c.param,
+                "unicyclic_girth": unicyclic and girth(g) == c.param,
+            }[c.kind]
+
+        for n in range(1, 8):
+            graphs = connected_graph_list(n)
+            constraints = [ClassConstraint(kind) for kind in ("all", "tree", "unicyclic")]
+            constraints += [
+                ClassConstraint(kind, k)
+                for kind in ("pendant_count", "tree_with_pendants")
+                for k in range(n + 1)
+            ]
+            constraints += [ClassConstraint("cut_count", s) for s in range(max(n - 1, 1))]
+            constraints += [ClassConstraint("unicyclic_girth", k) for k in range(3, n + 1)]
+            for c in constraints:
+                streamed = len(list(filter_graphs(graphs, c)))
+                assert count_class(n, c) == streamed == sum(oracle(g, c) for g in graphs), (n, c)
 
     def test_unicyclic_girth_filter(self):
         members = list(

@@ -2,22 +2,15 @@
 
 import pytest
 
-from totecc import extremal, families, graph6
+from totecc import ClassConstraint, extremal, families, graph6
 from totecc.canon import canonical_graph
-from totecc.enumeration import ClassConstraint
 from totecc.extremal import (
     CONJECTURE_VIOLATED,
     PASS,
     UNIQUENESS_FAIL,
     check_conjecture,
     search,
-    verify_cut_max,
-    verify_cut_min,
-    verify_pendant_max,
-    verify_pendant_min,
     verify_theorem,
-    verify_tree_theorems,
-    verify_unicyclic,
 )
 from totecc.graph import total_eccentricity
 
@@ -83,10 +76,10 @@ def _assert_all_pass(verdicts):
 class TestPendantMax:
     @pytest.mark.parametrize("n", [3, 4, 6, 7])
     def test_all_pass(self, n):
-        _assert_all_pass(verify_pendant_max(n))
+        _assert_all_pass(verify_theorem("pendant-max", n))
 
     def test_n7_values(self):
-        by_k = {v.parameter: v for v in verify_pendant_max(7)}
+        by_k = {v.parameter: v for v in verify_theorem("pendant-max", 7)}
         assert by_k[0].observed_value == 24  # two-triangle dumbbell
         assert by_k[0].observed_witnesses == (g6(families.dumbbell(3, 3, 7)),)
         assert by_k[1].observed_value == 29
@@ -94,14 +87,14 @@ class TestPendantMax:
         assert by_k[2].status == PASS
 
     def test_n6_cycle_unique(self):
-        by_k = {v.parameter: v for v in verify_pendant_max(6)}
+        by_k = {v.parameter: v for v in verify_theorem("pendant-max", 6)}
         assert by_k[0].observed_value == 18
         assert by_k[0].observed_witnesses == (g6(families.cycle(6)),)
 
     def test_uniqueness_refuted_at_n5(self):
         # ties with the cycle at eps=10: house, K_{2,3}, and one more.
         # The claimed uniqueness fails; value and membership still hold.
-        by_k = {v.parameter: v for v in verify_pendant_max(5)}
+        by_k = {v.parameter: v for v in verify_theorem("pendant-max", 5)}
         v = by_k[0]
         assert v.status == UNIQUENESS_FAIL
         assert v.observed_value == v.predicted_value == 10
@@ -112,10 +105,10 @@ class TestPendantMax:
 class TestPendantMin:
     @pytest.mark.parametrize("n", range(3, 8))
     def test_all_pass(self, n):
-        _assert_all_pass(verify_pendant_min(n))
+        _assert_all_pass(verify_theorem("pendant-min", n))
 
     def test_n7_rows(self):
-        by_k = {v.parameter: v for v in verify_pendant_min(7)}
+        by_k = {v.parameter: v for v in verify_theorem("pendant-min", 7)}
         assert by_k[0].observed_value == 7  # K_7, unique
         assert by_k[0].uniqueness_checked
         for k in range(1, 5):
@@ -126,12 +119,12 @@ class TestPendantMin:
 class TestUnicyclic:
     @pytest.mark.parametrize("n", [5, 6, 7])
     def test_all_pass(self, n):
-        _assert_all_pass(verify_unicyclic(n))
+        _assert_all_pass(verify_theorem("unicyclic", n))
 
     def test_values(self):
-        lo, hi = verify_unicyclic(6)
+        lo, hi = verify_theorem("unicyclic", 6)
         assert lo.observed_value == 11 and hi.observed_value == 20
-        lo, hi = verify_unicyclic(5)
+        lo, hi = verify_theorem("unicyclic", 5)
         assert lo.observed_value == 9 and hi.observed_value == 13
         assert lo.observed_witnesses == (g6(families.tadpole_p(5, 3)),)
         assert hi.observed_witnesses == (g6(families.tadpole_l(5, 3)),)
@@ -140,10 +133,10 @@ class TestUnicyclic:
 class TestCutMin:
     @pytest.mark.parametrize("n", range(3, 8))
     def test_all_pass(self, n):
-        _assert_all_pass(verify_cut_min(n))
+        _assert_all_pass(verify_theorem("cut-min", n))
 
     def test_n6_rows(self):
-        by_s = {v.parameter: v for v in verify_cut_min(6)}
+        by_s = {v.parameter: v for v in verify_theorem("cut-min", 6)}
         assert by_s[0].observed_value == 6
         assert by_s[2].observed_value == 14
         assert g6(families.complete_with_paths(4, (2, 2, 1, 1))) in by_s[2].observed_witnesses
@@ -153,10 +146,10 @@ class TestCutMin:
 class TestCutMax:
     @pytest.mark.parametrize("n", range(3, 8))
     def test_all_pass(self, n):
-        _assert_all_pass(verify_cut_max(n))
+        _assert_all_pass(verify_theorem("cut-max", n))
 
     def test_n7_rows(self):
-        by_s = {v.parameter: v for v in verify_cut_max(7)}
+        by_s = {v.parameter: v for v in verify_theorem("cut-max", 7)}
         assert by_s[0].observed_value == 21  # n*floor(n/2)
         assert by_s[1].observed_value == 23
         assert g6(families.tadpole_l(7, 6)) in by_s[1].observed_witnesses
@@ -166,7 +159,7 @@ class TestCutMax:
         assert by_s[5].class_size == 1
 
     def test_n4_tie(self):
-        by_s = {v.parameter: v for v in verify_cut_max(4)}
+        by_s = {v.parameter: v for v in verify_theorem("cut-max", 4)}
         v = by_s[1]
         assert v.observed_value == 7 and v.class_size == 2
         assert set(v.observed_witnesses) == {
@@ -178,10 +171,10 @@ class TestCutMax:
 class TestTreeTheorems:
     @pytest.mark.parametrize("n", range(4, 8))
     def test_all_pass(self, n):
-        _assert_all_pass(verify_tree_theorems(n))
+        _assert_all_pass(verify_theorem("tree", n))
 
     def test_divisibility_split_at_8(self):
-        verdicts = verify_tree_theorems(8)
+        verdicts = verify_theorem("tree", 8)
         _assert_all_pass(verdicts)
         mins = {v.parameter: v for v in verdicts if v.theorem == "tree-min"}
         # 3 | 6: both two-hub spiders are minimizers
@@ -192,13 +185,13 @@ class TestTreeTheorems:
     def test_k3_n7_uses_balanced_spider(self):
         mins = {
             v.parameter: v
-            for v in verify_tree_theorems(7)
+            for v in verify_theorem("tree", 7)
             if v.theorem == "tree-min"
         }
         assert g6(families.spider_balanced(7, 3)) in mins[3].observed_witnesses
 
     def test_star_row_trivial(self):
-        rows = [v for v in verify_tree_theorems(6) if v.parameter == 5]
+        rows = [v for v in verify_theorem("tree", 6) if v.parameter == 5]
         for v in rows:
             assert v.class_size == 1 and v.status == PASS
 
@@ -249,14 +242,13 @@ class TestDispatch:
             families, "double_broom", lambda l, m, d: real(l, m, d + (l == 1))
         )
         with pytest.raises(RuntimeError, match="double brooms disagree"):
-            verify_tree_theorems(7)
+            verify_theorem("tree", 7)
         monkeypatch.setattr(families, "double_broom", real)
         monkeypatch.setattr(families, "double_spider", lambda n, k, t: families.path(n - t + 1))
         with pytest.raises(RuntimeError, match="spider minimizers disagree"):
-            verify_tree_theorems(8)
+            verify_theorem("tree", 8)
 
     def test_range_validation(self):
-        with pytest.raises(ValueError):
-            verify_pendant_max(10)
+        assert verify_theorem("pendant-max", 10) == []
         with pytest.raises(ValueError):
             check_conjecture(4)
