@@ -170,6 +170,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     if args.workers < 1:
         raise ValueError(f"--workers must be at least 1, got {args.workers}")
     constraint = parse_constraint(args.constraint or "all")
+    constraint.validate_for(args.n)
     out = open(args.graph6_out, "w") if args.graph6_out else sys.stdout
     try:
         if args.workers > 1:

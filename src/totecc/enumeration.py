@@ -10,6 +10,16 @@ isomorphism class without keeping a global seen-set, so the stream is
 memory-flat, restartable, deterministic in order, and shardable on the
 level-6 subtree roots.
 
+Most children are decided without the canon search tree (McKay, J.
+Algorithms 26, 1998).  The deletion vertex and its whole orbit lie in
+the non-cut part of the last cell of the child's initial equitable
+partition that holds a non-cut vertex, so one _refine call rejects every
+child whose new vertex lies outside it.  When that part is the new
+vertex alone the child is accepted outright, and canon runs only if the
+child's automorphism generators are still needed to extend it: a child
+of the requested final order is emitted without them.  _accept holds
+the argument in full.
+
 connected_graphs_dedup() is the independent fallback (extend everything,
 dedup by canonical form); the test suite checks both agree for n <= 7.
 labeled_graphs() and labeled_connected_count() are the brute-force
@@ -21,8 +31,8 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterator
 
-from .canon import canon
-from .graph import Graph, cut_vertices, is_connected
+from .canon import _refine, canon
+from .graph import Graph, bits, cut_vertices, is_connected
 
 #: Exhaustive enumeration cap; n = 10 (~11.7M classes) needs the explicit
 #: opt-in and realistically also sharded workers.
@@ -33,6 +43,9 @@ _SHARD_LEVEL = 6
 
 _K1 = Graph(1, (0,))
 
+#: Automorphism generators as canon returns them, one image tuple each.
+Gens = tuple[tuple[int, ...], ...]
+
 
 def _extend(g: Graph, mask: int) -> Graph:
     """Attach a new vertex adjacent to the ``mask`` subset of g."""
@@ -42,7 +55,7 @@ def _extend(g: Graph, mask: int) -> Graph:
         if mask >> v & 1:
             rows[v] |= 1 << new
     rows.append(mask)
-    return Graph(g.n + 1, tuple(rows))
+    return Graph._unchecked(g.n + 1, tuple(rows))
 
 
 def _apply_to_mask(gamma: tuple[int, ...], mask: int) -> int:
@@ -55,7 +68,7 @@ def _apply_to_mask(gamma: tuple[int, ...], mask: int) -> int:
     return out
 
 
-def _subset_orbit_reps(k: int, gens: tuple[tuple[int, ...], ...]) -> Iterator[int]:
+def _subset_orbit_reps(k: int, gens: Gens) -> Iterator[int]:
     """One nonempty neighbor subset per orbit of the parent's automorphisms."""
     if not gens:
         yield from range(1, 1 << k)
@@ -76,33 +89,64 @@ def _subset_orbit_reps(k: int, gens: tuple[tuple[int, ...], ...]) -> Iterator[in
                     stack.append(im)
 
 
-def _accepted_children(
-    g: Graph, gens: tuple[tuple[int, ...], ...]
-) -> Iterator[tuple[Graph, tuple[tuple[int, ...], ...]]]:
-    """One-vertex extensions passing the canonical-deletion test."""
-    k = g.n
-    for mask in _subset_orbit_reps(k, gens):
-        child = _extend(g, mask)
-        res = canon(child)
-        cuts = cut_vertices(child)
-        pos = [0] * child.n
-        for i, v in enumerate(res.labeling):
-            pos[v] = i
-        deletion = max(
-            (v for v in range(child.n) if v not in cuts), key=pos.__getitem__
-        )
-        if res.orbits[k] == res.orbits[deletion]:
-            yield child, res.generators
+def _accept(child: Graph, last: bool) -> tuple[bool, Gens | None]:
+    """The canonical-deletion test for ``child``, whose new vertex is its last.
+
+    Returns whether the child is accepted, and the automorphism generators
+    canon found for it, or None where canon did not run.
+
+    The pre-test is sound because canon starts from the partition
+    ``_refine(adj, [full], [full])`` and only ever splits cells in place:
+    every vertex's canonical position lies inside the position range of
+    its initial cell.  So the deletion vertex, the non-cut vertex with the
+    highest canonical position, lies in ``cand``, the non-cut vertices of
+    the last initial cell that has any.  Automorphisms map each initial
+    cell onto itself and cut vertices onto cut vertices, so the deletion
+    vertex's whole orbit lies in ``cand`` too: a new vertex outside
+    ``cand`` is rejected with no canon call.  When ``cand`` is the new
+    vertex alone it is the deletion vertex and the child is accepted; if
+    ``last`` (the child has the order the caller asked for, so it is
+    never extended) its generators are not needed and canon is skipped.
+    """
+    n = child.n
+    k = n - 1
+    full = (1 << n) - 1
+    noncut = full
+    for v in cut_vertices(child):
+        noncut ^= 1 << v
+    for cell in reversed(_refine(child.adj, [full], [full])):
+        cand = cell & noncut
+        if cand:
+            break
+    if not cand >> k & 1:
+        return False, None
+    if last and cand == 1 << k:
+        return True, None
+    res = canon(child)
+    pos = [0] * n
+    for i, v in enumerate(res.labeling):
+        pos[v] = i
+    deletion = max(bits(cand), key=pos.__getitem__)
+    return res.orbits[k] == res.orbits[deletion], res.generators
 
 
 def _grow(
-    g: Graph, gens: tuple[tuple[int, ...], ...], n: int
-) -> Iterator[tuple[Graph, tuple[tuple[int, ...], ...]]]:
-    if g.n == n:
+    g: Graph, gens: Gens | None, level: int, n: int
+) -> Iterator[tuple[Graph, Gens | None]]:
+    """The stream's graphs of order ``level`` below ``g``, with their generators.
+
+    ``n`` is the final order the caller asked for, which may exceed
+    ``level``: graphs of order n come with None generators where _accept
+    skipped canon, and no other graph does.
+    """
+    if g.n == level:
         yield g, gens
         return
-    for child, child_gens in _accepted_children(g, gens):
-        yield from _grow(child, child_gens, n)
+    for mask in _subset_orbit_reps(g.n, gens):
+        child = _extend(g, mask)
+        accepted, child_gens = _accept(child, g.n + 1 == n)
+        if accepted:
+            yield from _grow(child, child_gens, level, n)
 
 
 def connected_graphs(
@@ -138,9 +182,11 @@ def _subtrees(
     if total < 1 or not 0 <= idx < total:
         raise ValueError(f"invalid shard {shard}")
     base_level = min(n, _SHARD_LEVEL)
-    for count, (base, gens) in enumerate(_grow(_K1, (), base_level)):
+    # Pass n, not base_level, as the final order: roots below n are extended
+    # further and need their generators.
+    for count, (base, gens) in enumerate(_grow(_K1, (), base_level, n)):
         if count % total == idx:
-            yield (g for g, _ in _grow(base, gens, n))
+            yield (g for g, _ in _grow(base, gens, n, n))
 
 
 @lru_cache(maxsize=None)

@@ -75,6 +75,18 @@ class Graph:
             rows[v] |= 1 << u
         return cls(n, tuple(rows))
 
+    @classmethod
+    def _unchecked(cls, n: int, adj: tuple[int, ...]) -> "Graph":
+        """Build without ``__post_init__``'s checks, for rows valid by construction.
+
+        Only enumeration._extend calls this: a valid parent plus a vertex
+        joined symmetrically to some of 0..n-2 is valid again.
+        """
+        g = object.__new__(cls)
+        object.__setattr__(g, "n", n)
+        object.__setattr__(g, "adj", adj)
+        return g
+
     def degree(self, v: int) -> int:
         return self.adj[v].bit_count()
 

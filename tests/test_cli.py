@@ -152,6 +152,18 @@ class TestEnumerate:
         code, out, err = run(capsys, "enumerate", "-n", "4", "--workers", workers)
         assert code == 2 and out == "" and err.startswith("error: ")
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize("cls", ["cut_count=9", "unicyclic_girth=7"])
+    def test_class_out_of_range_rejected(self, capsys, tmp_path, cls, workers):
+        # search rejects these classes at n = 5; enumerate must not emit 0 graphs
+        target = tmp_path / "out.g6"
+        code, out, err = run(
+            capsys, "enumerate", "-n", "5", "--class", cls, "--workers", workers,
+            "--graph6-out", str(target),
+        )
+        assert code == 2 and out == "" and err.startswith("error: ")
+        assert not target.exists()
+
 
 class TestSearch:
     def test_text(self, capsys):

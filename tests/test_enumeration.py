@@ -1,24 +1,32 @@
 """Enumeration: counts vs published sequences, dedup cross-check, classes."""
 
+import ast
 import random
+from pathlib import Path
 
 import pytest
 
 from conftest import CONNECTED_COUNTS, TREE_COUNTS
 from totecc import ClassConstraint, count_class, families, filter_graphs, parse_constraint
-from totecc.canon import canonical_form
+from totecc import enumeration
+from totecc.canon import canon, canonical_form
 from totecc.enumeration import (
+    _accept,
+    _extend,
+    _subset_orbit_reps,
     connected_graph_list,
     connected_graphs,
     connected_graphs_dedup,
     labeled_connected_count,
     labeled_graphs,
 )
-from totecc.graph import cut_vertices, girth, is_connected, pendant_vertices
+from totecc.graph import Graph, cut_vertices, girth, is_connected, pendant_vertices
+
+SOURCES = sorted((Path(__file__).parent.parent / "src" / "totecc").glob("*.py"))
 
 
 class TestStream:
-    @pytest.mark.parametrize("n", range(1, 8))
+    @pytest.mark.parametrize("n", range(1, 9))
     def test_counts_match_published(self, n):
         assert len(connected_graph_list(n)) == CONNECTED_COUNTS[n]
 
@@ -55,6 +63,82 @@ class TestStream:
         # full order-10 enumeration is impractical; the stream must start
         first = next(iter(connected_graphs(10, allow_large=True)))
         assert first.n == 10 and is_connected(first)
+
+
+def accept_by_canon(child):
+    """The canonical-deletion test with the full canon search, no pre-test.
+
+    The new vertex is the child's last; it is accepted iff it shares an
+    automorphism orbit with the non-cut vertex of highest canonical position.
+    """
+    res = canon(child)
+    cuts = cut_vertices(child)
+    pos = {v: i for i, v in enumerate(res.labeling)}
+    deletion = max((v for v in range(child.n) if v not in cuts), key=pos.__getitem__)
+    return res.orbits[child.n - 1] == res.orbits[deletion], res.generators
+
+
+class TestAcceptTest:
+    def test_fast_decision_matches_canon_oracle(self):
+        # every candidate child of every stream parent of order <= 6: one per
+        # orbit of the parent's automorphisms, as the stream tries them
+        tried = prefiltered = shortcut = 0
+        for m in range(1, 7):
+            for parent in connected_graph_list(m):
+                for mask in _subset_orbit_reps(m, canon(parent).generators):
+                    child = _extend(parent, mask)
+                    expected, gens = accept_by_canon(child)
+                    inner, inner_gens = _accept(child, last=False)
+                    last, last_gens = _accept(child, last=True)
+                    tried += 1
+                    assert inner == last == expected, (parent, mask)
+                    assert inner_gens in (None, gens) and last_gens in (None, gens)
+                    if inner_gens is None:
+                        # a child extended further skips canon only when rejected
+                        assert not expected and last_gens is None
+                        prefiltered += 1
+                    elif last_gens is None:
+                        shortcut += 1
+        # one candidate per canon call the stream made for n = 7 before the pre-test
+        assert tried == 4159
+        assert prefiltered > 0 and shortcut > 0
+
+    def test_canon_calls_pinned(self, monkeypatch):
+        # canon on every candidate would be 4,159 calls; the pre-test and the
+        # last-level shortcut leave 506, and dropping either changes the count
+        calls = []
+
+        def counting(g):
+            calls.append(g)
+            return canon(g)
+
+        monkeypatch.setattr(enumeration, "canon", counting)
+        assert sum(1 for _ in connected_graphs(7)) == 853
+        assert len(calls) == 506
+
+    def test_stream_graphs_pass_full_validation(self):
+        # the stream builds children with Graph._unchecked; the public
+        # constructor runs every __post_init__ check on the same rows
+        for n in range(1, 8):
+            for g in connected_graphs(n):
+                assert Graph(g.n, g.adj) == g
+
+    def test_unchecked_constructor_only_in_extend(self):
+        def references(node, scope):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                scope = node.name
+            name = getattr(node, "attr", None) or getattr(node, "id", None)
+            if name == "_unchecked":
+                yield scope
+            for child in ast.iter_child_nodes(node):
+                yield from references(child, scope)
+
+        users = [
+            (path.name, scope)
+            for path in SOURCES
+            for scope in references(ast.parse(path.read_text()), None)
+        ]
+        assert users == [("enumeration.py", "_extend")]
 
 
 class TestDedupFallback:

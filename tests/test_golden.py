@@ -1,13 +1,17 @@
-"""Verdict output pinned byte for byte: stdout, stderr and exit code.
+"""Verdicts and the n = 8 stream pinned byte for byte: stdout, stderr, exit code.
 
-The files under tests/golden/ were written by the CLI before the theorem
-statements became table rows; any change to the verdict payloads, their
-order or the exit codes shows up here.  To regenerate after an intended
-change, run for example
+The verdict files under tests/golden/ were written by the CLI before the
+theorem statements became table rows, and enumerate_8.sha256 (the sha256
+of the stdout of ``totecc enumerate -n 8``) before the augmentation
+pre-test; any change to the verdict payloads, the stream's graphs or
+their order, or the exit codes shows up here.  To regenerate after an
+intended change, run for example
 ``totecc verify --theorem all -n 3..8 --format json > verify_all_3_8.json``
-(stderr to ``.stderr``, exit code to ``.exit``).
+(stderr to ``.stderr``, exit code to ``.exit``), or
+``totecc enumerate -n 8 | sha256sum``.
 """
 
+import hashlib
 from pathlib import Path
 
 import pytest
@@ -29,3 +33,12 @@ def test_cli_output_matches_golden(capsys, name):
     assert captured.out == (GOLDEN / f"{name}.json").read_text()
     assert captured.err == (GOLDEN / f"{name}.stderr").read_text()
     assert code == int((GOLDEN / f"{name}.exit").read_text())
+
+
+def test_enumerate_8_stream_matches_golden(capsys):
+    code = main(["enumerate", "-n", "8"])
+    captured = capsys.readouterr()
+    digest = hashlib.sha256(captured.out.encode()).hexdigest()
+    assert digest == (GOLDEN / "enumerate_8.sha256").read_text().strip()
+    assert captured.err == (GOLDEN / "enumerate_8.stderr").read_text()
+    assert code == int((GOLDEN / "enumerate_8.exit").read_text())
