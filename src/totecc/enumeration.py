@@ -13,12 +13,16 @@ level-6 subtree roots.
 Most children are decided without the canon search tree (McKay, J.
 Algorithms 26, 1998).  The deletion vertex and its whole orbit lie in
 the non-cut part of the last cell of the child's initial equitable
-partition that holds a non-cut vertex, so one _refine call rejects every
-child whose new vertex lies outside it.  When that part is the new
-vertex alone the child is accepted outright, and canon runs only if the
-child's automorphism generators are still needed to extend it: a child
-of the requested final order is emitted without them.  _accept holds
-the argument in full.
+partition that holds a non-cut vertex, and a child whose new vertex lies
+outside it is rejected.  That partition is ordered by ascending degree,
+so the cell lies in the highest degree class holding a non-cut vertex:
+most children are decided from degrees and a few deletion searches
+(one per vertex tested), and the refinement runs only when another
+non-cut vertex shares the new vertex's degree.  When that part is the
+new vertex alone the child is accepted outright, and canon runs only if
+the child's automorphism generators are still needed to extend it: a
+child of the requested final order is emitted without them.  _accept
+holds the argument in full.
 
 connected_graphs_dedup() is the independent fallback (extend everything,
 dedup by canonical form); the test suite checks both agree for n <= 7.
@@ -32,7 +36,7 @@ from functools import lru_cache
 from typing import Iterator
 
 from .canon import _refine, canon
-from .graph import Graph, bits, cut_vertices, is_connected
+from .graph import Graph, _is_cut_vertex, bits, is_connected
 
 #: Exhaustive enumeration cap; n = 10 (~11.7M classes) needs the explicit
 #: opt-in and realistically also sharded workers.
@@ -107,19 +111,41 @@ def _accept(child: Graph, last: bool) -> tuple[bool, Gens | None]:
     vertex alone it is the deletion vertex and the child is accepted; if
     ``last`` (the child has the order the caller asked for, so it is
     never extended) its generators are not needed and canon is skipped.
+
+    Most of ``cand`` is found from degrees alone.  The first splitter of
+    that refinement is the whole vertex set, so it first splits by degree
+    in ascending order, and every later split happens in place: each
+    initial cell has one degree, and degrees never decrease along the
+    cells.  The last cell holding a non-cut vertex therefore lies in the
+    highest degree class holding one.  The new vertex k is never a cut
+    vertex, since its parent is connected, so that class has degree at
+    least deg(k).  A non-cut vertex of higher degree puts ``cand`` above
+    k's class, and the child is rejected.  Otherwise, if k is the only
+    non-cut vertex of its degree, ``cand`` is k alone; only when it is not
+    does the refinement run, to find the last cell of that class with a
+    non-cut vertex.  Each cut test is one search with the vertex deleted.
     """
     n = child.n
     k = n - 1
-    full = (1 << n) - 1
-    noncut = full
-    for v in cut_vertices(child):
-        noncut ^= 1 << v
-    for cell in reversed(_refine(child.adj, [full], [full])):
-        cand = cell & noncut
-        if cand:
-            break
-    if not cand >> k & 1:
-        return False, None
+    adj = child.adj
+    deg = [row.bit_count() for row in adj]
+    dk = deg[k]
+    for v in range(k):
+        if deg[v] > dk and not _is_cut_vertex(adj, v):
+            return False, None
+    noncut = 1 << k
+    for v in range(k):
+        if deg[v] == dk and not _is_cut_vertex(adj, v):
+            noncut |= 1 << v
+    cand = noncut
+    if noncut != 1 << k:
+        full = (1 << n) - 1
+        for cell in reversed(_refine(adj, [full], [full])):
+            cand = cell & noncut
+            if cand:
+                break
+        if not cand >> k & 1:
+            return False, None
     if last and cand == 1 << k:
         return True, None
     res = canon(child)

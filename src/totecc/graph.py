@@ -326,17 +326,20 @@ def cut_vertices(g: Graph) -> frozenset[int]:
     return _tarjan(g)[0]
 
 
+def _is_cut_vertex(adj: Sequence[int], v: int) -> bool:
+    """Whether deleting ``v`` disconnects the connected graph with rows ``adj``.
+
+    Needs at least two vertices: the search starts at a vertex other than v.
+    """
+    return _reach(adj, 1 if v == 0 else 0, 1 << v).bit_count() != len(adj) - 1
+
+
 def cut_vertices_by_deletion(g: Graph) -> frozenset[int]:
     """Articulation points by n deletion/connectivity checks (oracle path)."""
     _require_connected(g)
     if g.n == 1:
         return frozenset()
-    cuts = set()
-    for v in range(g.n):
-        start = 1 if v == 0 else 0
-        if _reach(g.adj, start, 1 << v).bit_count() != g.n - 1:
-            cuts.add(v)
-    return frozenset(cuts)
+    return frozenset(v for v in range(g.n) if _is_cut_vertex(g.adj, v))
 
 
 def blocks(g: Graph) -> BlockDecomposition:

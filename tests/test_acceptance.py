@@ -398,9 +398,18 @@ def test_criterion_6_conjecture_audit():
 @pytest.mark.optin_n9
 @pytest.mark.skipif(not RUN_N9, reason="set TOTECC_RUN_N9=1 for order-9 runs")
 def test_criterion_6_conjecture_audit_n9():
-    _, violations = _audit_conjecture(9)
-    spots = sorted((v.n, v.parameter) for v in violations)
-    report("6 conjecture-audit n=9", f"refuted at {spots}" if spots else "holds")
+    passes, violations = _audit_conjecture(9)
+    # the conjecture covers 2 <= s <= n - 4; at n = 9 it fails for s = 2, 3
+    assert sorted(v.parameter for v in passes) == [4, 5]
+    found = {
+        v.parameter: (v.observed_value, v.predicted_value, len(v.counterexamples))
+        for v in violations
+    }
+    assert found == {2: (37, 36, 16), 3: (43, 42, 3)}
+    report(
+        "6 conjecture-audit n=9",
+        "REFUTED at s=2 (37 > 36, 16 witnesses) and s=3 (43 > 42, 3 witnesses); s=4, 5 hold",
+    )
 
 
 # --------------------------------------------------------------------------

@@ -6,10 +6,10 @@ from pathlib import Path
 
 import pytest
 
-from conftest import CONNECTED_COUNTS, TREE_COUNTS
+from conftest import CONNECTED_COUNTS, RUN_N9, TREE_COUNTS
 from totecc import ClassConstraint, count_class, families, filter_graphs, parse_constraint
-from totecc import enumeration
-from totecc.canon import canon, canonical_form
+from totecc import enumeration, graph
+from totecc.canon import _refine, canon, canonical_form
 from totecc.enumeration import (
     _accept,
     _extend,
@@ -20,7 +20,7 @@ from totecc.enumeration import (
     labeled_connected_count,
     labeled_graphs,
 )
-from totecc.graph import Graph, cut_vertices, girth, is_connected, pendant_vertices
+from totecc.graph import Graph, bits, cut_vertices, girth, is_connected, pendant_vertices
 
 SOURCES = sorted((Path(__file__).parent.parent / "src" / "totecc").glob("*.py"))
 
@@ -65,6 +65,18 @@ class TestStream:
         assert first.n == 10 and is_connected(first)
 
 
+def candidates(max_order):
+    """Every candidate child the stream tries below parents of order <= max_order.
+
+    One neighbor subset per orbit of each parent's automorphisms, as the
+    stream tries them; yields (parent, mask, child).
+    """
+    for m in range(1, max_order + 1):
+        for parent in connected_graph_list(m):
+            for mask in _subset_orbit_reps(m, canon(parent).generators):
+                yield parent, mask, _extend(parent, mask)
+
+
 def accept_by_canon(child):
     """The canonical-deletion test with the full canon search, no pre-test.
 
@@ -78,30 +90,107 @@ def accept_by_canon(child):
     return res.orbits[child.n - 1] == res.orbits[deletion], res.generators
 
 
+def accept_by_refine(child, last):
+    """The accept step with every cut vertex and one full refinement, no degree shortcut.
+
+    ``cand`` is read straight from its definition: the non-cut vertices of
+    the last cell of ``_refine(adj, [full], [full])`` that has any.
+    """
+    n = child.n
+    k = n - 1
+    full = (1 << n) - 1
+    noncut = full
+    for v in cut_vertices(child):
+        noncut ^= 1 << v
+    for cell in reversed(_refine(child.adj, [full], [full])):
+        cand = cell & noncut
+        if cand:
+            break
+    if not cand >> k & 1:
+        return False, None
+    if last and cand == 1 << k:
+        return True, None
+    res = canon(child)
+    pos = [0] * n
+    for i, v in enumerate(res.labeling):
+        pos[v] = i
+    deletion = max(bits(cand), key=pos.__getitem__)
+    return res.orbits[k] == res.orbits[deletion], res.generators
+
+
+def check_against_refine_oracle(max_order):
+    """_accept and accept_by_refine agree on every candidate; returns how many."""
+    tried = 0
+    for parent, mask, child in candidates(max_order):
+        for last in (False, True):
+            assert _accept(child, last) == accept_by_refine(child, last), (parent, mask, last)
+        tried += 1
+    return tried
+
+
 class TestAcceptTest:
     def test_fast_decision_matches_canon_oracle(self):
-        # every candidate child of every stream parent of order <= 6: one per
-        # orbit of the parent's automorphisms, as the stream tries them
+        # every candidate child of every stream parent of order <= 6
         tried = prefiltered = shortcut = 0
-        for m in range(1, 7):
-            for parent in connected_graph_list(m):
-                for mask in _subset_orbit_reps(m, canon(parent).generators):
-                    child = _extend(parent, mask)
-                    expected, gens = accept_by_canon(child)
-                    inner, inner_gens = _accept(child, last=False)
-                    last, last_gens = _accept(child, last=True)
-                    tried += 1
-                    assert inner == last == expected, (parent, mask)
-                    assert inner_gens in (None, gens) and last_gens in (None, gens)
-                    if inner_gens is None:
-                        # a child extended further skips canon only when rejected
-                        assert not expected and last_gens is None
-                        prefiltered += 1
-                    elif last_gens is None:
-                        shortcut += 1
+        for parent, mask, child in candidates(6):
+            expected, gens = accept_by_canon(child)
+            inner, inner_gens = _accept(child, last=False)
+            last, last_gens = _accept(child, last=True)
+            tried += 1
+            assert inner == last == expected, (parent, mask)
+            assert inner_gens in (None, gens) and last_gens in (None, gens)
+            if inner_gens is None:
+                # a child extended further skips canon only when rejected
+                assert not expected and last_gens is None
+                prefiltered += 1
+            elif last_gens is None:
+                shortcut += 1
         # one candidate per canon call the stream made for n = 7 before the pre-test
         assert tried == 4159
         assert prefiltered > 0 and shortcut > 0
+
+    def test_matches_refine_oracle(self):
+        # the degree and deletion shortcuts give the same decisions and
+        # generators as reading cand from every cut vertex and one refinement
+        assert check_against_refine_oracle(6) == 4159
+
+    @pytest.mark.optin_n9
+    @pytest.mark.skipif(not RUN_N9, reason="set TOTECC_RUN_N9=1 for order-9 runs")
+    def test_matches_refine_oracle_n8(self):
+        assert check_against_refine_oracle(7) == 71300
+
+    def test_initial_cells_ascend_by_degree(self):
+        # _accept reads cand's degree class before any refinement: it relies
+        # on every cell of the initial partition having one degree, and on
+        # degrees never decreasing along the cells
+        for _, _, child in candidates(6):
+            full = (1 << child.n) - 1
+            degrees = []
+            for cell in _refine(child.adj, [full], [full]):
+                cell_degrees = {child.degree(v) for v in bits(cell)}
+                assert len(cell_degrees) == 1, child
+                degrees += cell_degrees
+            assert degrees == sorted(degrees), child
+
+    def test_accept_work_pinned(self, monkeypatch):
+        # n = 7 has 4,159 candidates; the degree test leaves 949 refinements,
+        # decided with 6,402 deletion searches and no Tarjan search
+        calls = {"_refine": 0, "_is_cut_vertex": 0, "_tarjan": 0}
+
+        def counting(module, name):
+            original = getattr(module, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counting(enumeration, "_refine")
+        counting(enumeration, "_is_cut_vertex")
+        counting(graph, "_tarjan")
+        assert sum(1 for _ in connected_graphs(7)) == 853
+        assert calls == {"_refine": 949, "_is_cut_vertex": 6402, "_tarjan": 0}
 
     def test_canon_calls_pinned(self, monkeypatch):
         # canon on every candidate would be 4,159 calls; the pre-test and the
