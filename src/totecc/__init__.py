@@ -31,7 +31,6 @@ from .graph import (
     cut_vertices,
     cut_vertices_by_deletion,
     diameter,
-    distance_matrix,
     eccentricities,
     eccentricity,
     girth,
@@ -70,7 +69,6 @@ __all__ = [
     "cut_vertices",
     "cut_vertices_by_deletion",
     "diameter",
-    "distance_matrix",
     "eccentricities",
     "eccentricity",
     "filter_graphs",

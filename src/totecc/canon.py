@@ -145,17 +145,23 @@ def canon(g: Graph) -> CanonResult:
         target = cells[target_idx]
 
         tried: list[int] = []
+        # Orbits under discovered automorphisms fixing the current path
+        # pointwise; a sibling equivalent to a tried one leads to a mirrored
+        # subtree and can be skipped.  The node's one union-find is made at
+        # the first such generator and takes in each generator once, as the
+        # subtrees of earlier siblings append them.
+        puf: _UnionFind | None = None
+        merged = 0
         for v in sorted(bits(target)):
             if tried:
-                # Orbits under discovered automorphisms fixing the current
-                # path pointwise; a sibling equivalent to a tried one leads
-                # to a mirrored subtree and can be skipped.
-                puf = _UnionFind(n)
-                for gamma in gens:
+                for gamma in gens[merged:]:
                     if all(gamma[x] == x for x in path):
+                        if puf is None:
+                            puf = _UnionFind(n)
                         for x in range(n):
                             puf.union(x, gamma[x])
-                if any(puf.find(v) == puf.find(u) for u in tried):
+                merged = len(gens)
+                if puf is not None and any(puf.find(v) == puf.find(u) for u in tried):
                     continue
             tried.append(v)
             vbit = 1 << v

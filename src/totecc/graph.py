@@ -151,7 +151,7 @@ def bfs_levels(adj: Sequence[int], start: int, banned: int = 0) -> Iterator[int]
     while frontier:
         yield frontier
         nxt = 0
-        # bits() inlined: this is the hot loop of every eccentricity.
+        # bits() inlined: this is the hot loop of every per-source search.
         while frontier:
             low = frontier & -frontier
             nxt |= adj[low.bit_length() - 1]
@@ -200,32 +200,58 @@ def bfs_distances(g: Graph, v: int) -> DistanceRow:
     return DistanceRow(v, tuple(dist))
 
 
-def distance_matrix(g: Graph) -> tuple[tuple[int, ...], ...]:
-    """All-pairs distances via one BFS per vertex."""
-    return tuple(bfs_distances(g, v).dist for v in range(g.n))
-
-
-def _eccentricity(adj: Sequence[int], v: int, full: int) -> int:
-    """Number of BFS levels from ``v`` minus one; ``full`` is the vertex mask."""
+def eccentricity(g: Graph, v: int) -> int:
+    """Number of BFS levels from ``v`` minus one (raises on disconnected input)."""
+    _require_vertex(g, v)
     reached = 0
     ecc = -1
-    for level in bfs_levels(adj, v):
+    for level in bfs_levels(g.adj, v):
         reached |= level
         ecc += 1
-    if reached != full:
+    if reached != (1 << g.n) - 1:
         raise DisconnectedGraphError("eccentricity requires a connected graph")
     return ecc
 
 
-def eccentricity(g: Graph, v: int) -> int:
-    _require_vertex(g, v)
-    return _eccentricity(g.adj, v, (1 << g.n) - 1)
-
-
 def eccentricities(g: Graph) -> tuple[int, ...]:
-    """Per-vertex eccentricities (raises on disconnected input)."""
-    adj, full = g.adj, (1 << g.n) - 1
-    return tuple([_eccentricity(adj, v, full) for v in range(g.n)])
+    """Per-vertex eccentricities by one all-sources sweep (raises on disconnected input).
+
+    ``reach[v]`` holds the ball of radius d around v: the closed
+    neighbourhood at d = 1, then ``R_d[v] = R_{d-1}[v] | OR of R_{d-1}[u]``
+    over the neighbours u of v, read from a copy of the previous round.
+    ecc(v) is the first d whose ball is every vertex, and v then leaves
+    the active list.  In a connected graph every ball short of full grows
+    each round, so a round that grows none means the graph is disconnected.
+    eccentricity(g, v) keeps the per-source BFS, an independent path.
+    """
+    n, adj = g.n, g.adj
+    if n == 1:
+        return (0,)
+    full = (1 << n) - 1
+    # Lists, not tuples: tuples ran as fast but raised peak memory while the
+    # class table of every graph up to n = 8 was built.
+    nbrs = [list(bits(row)) for row in adj]
+    reach = [row | 1 << v for v, row in enumerate(adj)]
+    ecc = [1] * n
+    active = [v for v in range(n) if reach[v] != full]
+    d = 1
+    while active:
+        d += 1
+        prev = reach.copy()
+        still = []
+        for v in active:
+            ball = prev[v]
+            for u in nbrs[v]:
+                ball |= prev[u]
+            reach[v] = ball
+            if ball == full:
+                ecc[v] = d
+            else:
+                still.append(v)
+        if reach == prev:
+            raise DisconnectedGraphError("eccentricity requires a connected graph")
+        active = still
+    return tuple(ecc)
 
 
 def total_eccentricity(g: Graph) -> int:

@@ -29,6 +29,7 @@ from conftest import (
     glue_relocate,
     random_connected_graph,
 )
+from oracles import distance_matrix
 from totecc import (
     ClassConstraint,
     count_class,
@@ -46,7 +47,6 @@ from totecc.graph import (
     Graph,
     cut_vertices,
     cut_vertices_by_deletion,
-    distance_matrix,
     eccentricities,
     total_eccentricity,
     wiener_index,

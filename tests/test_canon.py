@@ -1,14 +1,27 @@
 """Canonical labeling: exactness, orbit correctness, permutation invariance."""
 
+import importlib
 import itertools
 import random
 
 import pytest
 
 from totecc import families
-from totecc.canon import automorphism_orbits, canon, canonical_form, canonical_graph
-from totecc.enumeration import connected_graph_list, labeled_graphs
-from totecc.graph import Graph, is_connected
+from totecc.canon import (
+    CanonResult,
+    _leaf_code,
+    _refine,
+    _UnionFind,
+    automorphism_orbits,
+    canon,
+    canonical_form,
+    canonical_graph,
+)
+from totecc.enumeration import connected_graph_list, connected_graphs, labeled_graphs
+from totecc.graph import Graph, bits, is_connected
+
+# ``totecc.canon`` names the function on the package, so fetch the module.
+canon_module = importlib.import_module("totecc.canon")
 
 
 def _shuffled(g: Graph, rng: random.Random) -> Graph:
@@ -118,3 +131,92 @@ def test_vertex_transitive_orbits():
 def test_size_cap():
     with pytest.raises(ValueError):
         canonical_form(families.path(65))
+
+
+def canon_rebuild_per_sibling(g: Graph) -> CanonResult:
+    """canon as it was before the per-node union-find: the oracle for it.
+
+    For each sibling after the first, the orbit test builds a fresh
+    union-find over every generator found so far that fixes the path.
+    """
+    n = g.n
+    adj = g.adj
+    nbytes = (n + 7) // 8
+    best_code = best_perm = None
+    gens = []
+    uf = _UnionFind(n)
+
+    def search(cells, path):
+        nonlocal best_code, best_perm
+        if len(cells) == n:
+            perm = tuple(cell.bit_length() - 1 for cell in cells)
+            code = _leaf_code(n, adj, perm, nbytes)
+            if best_code is None or code > best_code:
+                best_code, best_perm = code, perm
+            elif code == best_code:
+                gamma = [0] * n
+                for bp, p in zip(best_perm, perm):
+                    gamma[bp] = p
+                if any(gamma[v] != v for v in range(n)):
+                    gens.append(tuple(gamma))
+                    for v in range(n):
+                        uf.union(v, gamma[v])
+            return
+        target_idx, target_size = -1, n + 1
+        for i, cell in enumerate(cells):
+            if 1 < cell.bit_count() < target_size:
+                target_idx, target_size = i, cell.bit_count()
+        target = cells[target_idx]
+        tried = []
+        for v in sorted(bits(target)):
+            if tried:
+                puf = _UnionFind(n)
+                for gamma in gens:
+                    if all(gamma[x] == x for x in path):
+                        for x in range(n):
+                            puf.union(x, gamma[x])
+                if any(puf.find(v) == puf.find(u) for u in tried):
+                    continue
+            tried.append(v)
+            vbit = 1 << v
+            child = []
+            for i, cell in enumerate(cells):
+                child.extend((vbit, cell ^ vbit) if i == target_idx else (cell,))
+            path.append(v)
+            search(_refine(adj, child, [vbit, target ^ vbit]), path)
+            path.pop()
+
+    search(_refine(adj, [(1 << n) - 1], [(1 << n) - 1]), [])
+    orbit = tuple(uf.find(v) for v in range(n))
+    return CanonResult(n.to_bytes(2, "big") + best_code, best_perm, orbit, tuple(gens))
+
+
+def test_matches_rebuild_per_sibling_oracle():
+    # form, labeling, orbits and generators, so the same leaves in the same order
+    for n in range(1, 8):
+        for g in connected_graph_list(n):
+            assert canon(g) == canon_rebuild_per_sibling(g)
+    rng = random.Random(7)
+    for g in TEST_GRAPHS:
+        h = _shuffled(g, rng)
+        assert canon(h) == canon_rebuild_per_sibling(h)
+
+
+def test_union_find_work_pinned(monkeypatch):
+    # connected_graphs(7) makes 506 canon calls, each with one orbit
+    # union-find; search nodes add 1,356 more, where rebuilding one per
+    # sibling made 2,704 (3,210 and 45,505 unions in all)
+    calls = {"made": 0, "unions": 0}
+
+    class Counting(_UnionFind):
+        def __init__(self, n):
+            calls["made"] += 1
+            super().__init__(n)
+
+        def union(self, a, b):
+            calls["unions"] += 1
+            super().union(a, b)
+
+    monkeypatch.setattr(canon_module, "_UnionFind", Counting)
+    assert sum(1 for _ in connected_graphs(7)) == 853
+    assert calls == {"made": 1862, "unions": 29114}

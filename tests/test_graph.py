@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import distance_matrix
 from totecc import families
 from totecc.canon import canonical_form
 from totecc.enumeration import connected_graph_list
@@ -19,7 +20,6 @@ from totecc.graph import (
     cut_vertices,
     cut_vertices_by_deletion,
     diameter,
-    distance_matrix,
     eccentricities,
     eccentricity,
     girth,
@@ -150,6 +150,45 @@ class TestEccentricity:
             total_eccentricity(TWO_COMPONENTS)
         with pytest.raises(DisconnectedGraphError):
             wiener_index(TWO_COMPONENTS)
+
+
+class TestEccentricitiesSweep:
+    """The all-sources sweep against per-source BFS, where it has many rounds."""
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            families.path(200),
+            families.cycle(200),
+            families.tadpole_l(200, 3),
+            families.dumbbell(3, 3, 200),
+            families.double_broom(1, 2, 197),
+            families.tadpole_p(200, 100),
+        ],
+        ids=["path", "cycle", "tadpole_l", "dumbbell", "double_broom", "tadpole_p"],
+    )
+    def test_matches_per_source_bfs(self, g):
+        assert eccentricities(g) == tuple(eccentricity(g, v) for v in range(g.n))
+
+    def test_small_orders(self):
+        assert eccentricities(Graph(1, (0,))) == (0,)
+        assert eccentricities(families.path(2)) == (1, 1)
+        assert eccentricities(families.path(3)) == (2, 1, 2)
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            Graph.from_edges(3, [(0, 1)]),  # an isolated vertex
+            TWO_COMPONENTS,
+            # the path's balls keep growing for 99 rounds before they stall
+            Graph.from_edges(101, [(i, i + 1) for i in range(99)]),
+            Graph(2, (0, 0)),
+        ],
+        ids=["isolated", "two-components", "path100-plus-isolated", "two-no-edge"],
+    )
+    def test_disconnected_rejected(self, g):
+        with pytest.raises(DisconnectedGraphError):
+            eccentricities(g)
 
 
 class TestTotalsAndWiener:
