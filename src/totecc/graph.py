@@ -213,8 +213,32 @@ def eccentricity(g: Graph, v: int) -> int:
     return ecc
 
 
+#: One per-source BFS expansion costs about as much as this many sweep ORs
+#: (CPython 3.11, n = 200 cliques with paths: about 110 ns against 22 ns).
+_EXPANSION_ORS = 5
+
+
 def eccentricities(g: Graph) -> tuple[int, ...]:
-    """Per-vertex eccentricities by one all-sources sweep (raises on disconnected input).
+    """Per-vertex eccentricities (raises on disconnected input).
+
+    Usually one all-sources sweep (``_sweep``), which spends about
+    deg(v) * ecc(v) ORs on each vertex; per-source BFS spends about n
+    expansions on each.  The sweep therefore loses on graphs that are dense
+    and deep at once, such as a large clique with a long path.  One BFS
+    from vertex 0 tells them apart, since every eccentricity lies within a
+    factor 2 of ecc(0); it is run only when the edge count leaves the sweep
+    able to lose.
+    """
+    n = g.n
+    budget = _EXPANSION_ORS * n * n
+    twice_m = 2 * g.edge_count
+    if twice_m * (n - 1) > budget and twice_m * eccentricity(g, 0) > budget:
+        return tuple([eccentricity(g, v) for v in range(n)])
+    return _sweep(g.adj)
+
+
+def _sweep(adj: Sequence[int]) -> tuple[int, ...]:
+    """Eccentricities from growing the ball around every vertex at once.
 
     ``reach[v]`` holds the ball of radius d around v: the closed
     neighbourhood at d = 1, then ``R_d[v] = R_{d-1}[v] | OR of R_{d-1}[u]``
@@ -222,18 +246,18 @@ def eccentricities(g: Graph) -> tuple[int, ...]:
     ecc(v) is the first d whose ball is every vertex, and v then leaves
     the active list.  In a connected graph every ball short of full grows
     each round, so a round that grows none means the graph is disconnected.
-    eccentricity(g, v) keeps the per-source BFS, an independent path.
     """
-    n, adj = g.n, g.adj
+    n = len(adj)
     if n == 1:
         return (0,)
     full = (1 << n) - 1
-    # Lists, not tuples: tuples ran as fast but raised peak memory while the
-    # class table of every graph up to n = 8 was built.
-    nbrs = [list(bits(row)) for row in adj]
     reach = [row | 1 << v for v, row in enumerate(adj)]
     ecc = [1] * n
     active = [v for v in range(n) if reach[v] != full]
+    if not active:
+        return tuple(ecc)
+    # Built once per call: iterating bits() inside the rounds loses most of the gain.
+    nbrs = [list(bits(row)) for row in adj]
     d = 1
     while active:
         d += 1

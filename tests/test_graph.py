@@ -6,12 +6,14 @@ import pytest
 
 from oracles import distance_matrix
 from totecc import families
+from totecc import graph as graph_module
 from totecc.canon import canonical_form
 from totecc.enumeration import connected_graph_list
 from totecc.graph import (
     UNREACHABLE,
     DisconnectedGraphError,
     Graph,
+    _sweep,
     average_eccentricity,
     bfs_distances,
     bfs_levels,
@@ -152,23 +154,62 @@ class TestEccentricity:
             wiener_index(TWO_COMPONENTS)
 
 
+def _clique_with_path(m, length):
+    """K_m with a path of ``length`` vertices rooted at clique vertex 0."""
+    return families.complete_with_paths(m, (length,) + (1,) * (m - 1))
+
+
+SPARSE_DEEP = {
+    "path": families.path(200),
+    "cycle": families.cycle(200),
+    "tadpole_l": families.tadpole_l(200, 3),
+    "dumbbell": families.dumbbell(3, 3, 200),
+    "double_broom": families.double_broom(1, 2, 197),
+    "tadpole_p": families.tadpole_p(200, 100),
+}
+# Dense and deep at once: eccentricities takes per-source BFS on these.
+DENSE_DEEP = {
+    "clique100-path101": _clique_with_path(100, 101),
+    "clique50-path151": _clique_with_path(50, 151),
+    "clique150-path51": _clique_with_path(150, 51),
+    "clique20-path21": _clique_with_path(20, 21),
+}
+# Dense or deep, not both: the sweep stays cheaper.
+SWEPT = {
+    "complete": families.complete(200),
+    "kmn_balanced": families.kmn_balanced(200, 2),
+    "clique20-path181": _clique_with_path(20, 181),
+    "clique40-paths81": families.complete_with_paths(40, (81, 81) + (1,) * 38),
+}
+
+
 class TestEccentricitiesSweep:
     """The all-sources sweep against per-source BFS, where it has many rounds."""
 
     @pytest.mark.parametrize(
         "g",
-        [
-            families.path(200),
-            families.cycle(200),
-            families.tadpole_l(200, 3),
-            families.dumbbell(3, 3, 200),
-            families.double_broom(1, 2, 197),
-            families.tadpole_p(200, 100),
-        ],
-        ids=["path", "cycle", "tadpole_l", "dumbbell", "double_broom", "tadpole_p"],
+        [*SPARSE_DEEP.values(), *DENSE_DEEP.values(), *SWEPT.values()],
+        ids=[*SPARSE_DEEP, *DENSE_DEEP, *SWEPT],
     )
     def test_matches_per_source_bfs(self, g):
-        assert eccentricities(g) == tuple(eccentricity(g, v) for v in range(g.n))
+        per_source = tuple(eccentricity(g, v) for v in range(g.n))
+        assert _sweep(g.adj) == per_source
+        assert eccentricities(g) == per_source
+
+    @pytest.mark.parametrize(
+        "g, swept",
+        [
+            *((g, True) for g in SPARSE_DEEP.values()),
+            *((g, False) for g in DENSE_DEEP.values()),
+            *((g, True) for g in SWEPT.values()),
+        ],
+        ids=[*SPARSE_DEEP, *DENSE_DEEP, *SWEPT],
+    )
+    def test_route(self, g, swept, monkeypatch):
+        calls = []
+        monkeypatch.setattr(graph_module, "_sweep", lambda adj: calls.append(adj) or _sweep(adj))
+        eccentricities(g)
+        assert calls == ([g.adj] if swept else [])
 
     def test_small_orders(self):
         assert eccentricities(Graph(1, (0,))) == (0,)
@@ -183,10 +224,20 @@ class TestEccentricitiesSweep:
             # the path's balls keep growing for 99 rounds before they stall
             Graph.from_edges(101, [(i, i + 1) for i in range(99)]),
             Graph(2, (0, 0)),
+            # dense enough that eccentricities runs the BFS from vertex 0 first
+            Graph.from_edges(51, [(u, v) for u in range(50) for v in range(u + 1, 50)]),
         ],
-        ids=["isolated", "two-components", "path100-plus-isolated", "two-no-edge"],
+        ids=[
+            "isolated",
+            "two-components",
+            "path100-plus-isolated",
+            "two-no-edge",
+            "clique50-plus-isolated",
+        ],
     )
     def test_disconnected_rejected(self, g):
+        with pytest.raises(DisconnectedGraphError):
+            _sweep(g.adj)
         with pytest.raises(DisconnectedGraphError):
             eccentricities(g)
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from totecc.graph import DisconnectedGraphError, Graph, eccentricities, eccentricity
+from totecc.graph import DisconnectedGraphError, Graph, _sweep, eccentricities, eccentricity
 
 nx = pytest.importorskip("networkx")
 hypothesis = pytest.importorskip("hypothesis")
@@ -36,8 +36,9 @@ def test_eccentricities_match_per_source_and_networkx(g):
     h = nx.Graph()
     h.add_nodes_from(range(g.n))
     h.add_edges_from(g.edges())
-    sweep = _or_disconnected(lambda: eccentricities(g))
+    sweep = _or_disconnected(lambda: _sweep(g.adj))
+    chosen = _or_disconnected(lambda: eccentricities(g))
     per_source = _or_disconnected(lambda: tuple(eccentricity(g, v) for v in range(g.n)))
     by_nx = _or_disconnected(lambda: tuple(e for _, e in sorted(nx.eccentricity(h).items())))
     hypothesis.event("disconnected" if sweep == "disconnected" else "connected")
-    assert sweep == per_source == by_nx
+    assert sweep == chosen == per_source == by_nx
