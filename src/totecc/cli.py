@@ -16,35 +16,28 @@ import csv
 import dataclasses
 import json
 import sys
+from fractions import Fraction
 from typing import Sequence
 
 from . import enumeration, extremal, families, formulas, graph6, transforms
 from .extremal import filter_graphs, parse_constraint
-from .graph import (
-    Graph,
-    average_eccentricity,
-    cut_vertices,
-    diameter,
-    girth,
-    pendant_vertices,
-    radius,
-    total_eccentricity,
-    wiener_index,
-)
+from .graph import Graph, cut_vertices, eccentricities, girth, pendant_vertices, wiener_index
 
 SCHEMA_VERSION = 1
 
 
 def _invariants(g: Graph) -> dict:
     gi = girth(g)
+    eccs = eccentricities(g)
+    eps = sum(eccs)
     return {
         "n": g.n,
         "edges": g.edge_count,
-        "eps": total_eccentricity(g),
+        "eps": eps,
         "wiener": wiener_index(g),
-        "avg_ecc": str(average_eccentricity(g)),
-        "diameter": diameter(g),
-        "radius": radius(g),
+        "avg_ecc": str(Fraction(eps, g.n)),
+        "diameter": max(eccs),
+        "radius": min(eccs),
         "girth": gi if gi is not None else "acyclic",
         "pendant_vertices": len(pendant_vertices(g)),
         "cut_vertices": len(cut_vertices(g)),
@@ -56,13 +49,15 @@ def _kv_line(d: dict) -> str:
 
 
 def _read_graphs(args: argparse.Namespace) -> list[Graph]:
-    if getattr(args, "graph6", None):
+    """The graphs of the one input that _add_graph_inputs lets through."""
+    if args.graph6 is not None:
         return [graph6.decode(args.graph6)]
-    if getattr(args, "stdin", False):
-        return [graph6.decode(line) for line in sys.stdin if line.strip()]
-    if getattr(args, "family", None):
+    if args.family:
         return [families.parse_family(args.family).build()]
-    raise ValueError("no input graph: pass --graph6, --stdin or --family")
+    graphs = [graph6.decode(line) for line in sys.stdin if line.strip()]
+    if not graphs:
+        raise ValueError("--stdin read no graph6 line")
+    return graphs
 
 
 def _emit_json(payload: dict) -> None:
@@ -231,17 +226,6 @@ def _parse_range(text: str) -> list[int]:
     return [int(text)]
 
 
-def _verdict_rows(verdicts: list[extremal.Verdict]) -> list[dict]:
-    rows = []
-    for v in verdicts:
-        d = dataclasses.asdict(v)
-        d["predicted_witnesses"] = list(v.predicted_witnesses)
-        d["observed_witnesses"] = list(v.observed_witnesses)
-        d["counterexamples"] = list(v.counterexamples)
-        rows.append(d)
-    return rows
-
-
 _CSV_FIELDS = [
     "theorem",
     "n",
@@ -256,14 +240,14 @@ _CSV_FIELDS = [
 
 
 def _emit_verdicts(verdicts: list[extremal.Verdict], fmt: str) -> None:
+    rows = [dataclasses.asdict(v) for v in verdicts]
     if fmt == "json":
-        _emit_json({"verdicts": _verdict_rows(verdicts)})
+        _emit_json({"verdicts": rows})
         return
     if fmt == "csv":
         writer = csv.DictWriter(sys.stdout, fieldnames=_CSV_FIELDS, extrasaction="ignore")
         writer.writeheader()
-        for row in _verdict_rows(verdicts):
-            writer.writerow(row)
+        writer.writerows(rows)
         return
     header = f"{'theorem':<14} {'n':>2} {'param':>5} {'predicted':>9} {'observed':>8} {'size':>6} {'status':<18}"
     print(header)
@@ -314,16 +298,17 @@ def _cmd_conjecture(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_graph_inputs(p: argparse.ArgumentParser, with_family: bool = True) -> None:
-    p.add_argument("--graph6", help="input graph as a graph6 string")
-    p.add_argument("--stdin", action="store_true", help="read graph6 lines from stdin")
-    if with_family:
-        p.add_argument(
-            "--family",
-            nargs="+",
-            metavar="SPEC",
-            help="family name followed by integer parameters",
-        )
+def _add_graph_inputs(p: argparse.ArgumentParser) -> None:
+    """Exactly one input source: a graph6 string, graph6 lines on stdin, or a family."""
+    inputs = p.add_mutually_exclusive_group(required=True)
+    inputs.add_argument("--graph6", help="input graph as a graph6 string")
+    inputs.add_argument("--stdin", action="store_true", help="read graph6 lines from stdin")
+    inputs.add_argument(
+        "--family",
+        nargs="+",
+        metavar="SPEC",
+        help="family name followed by integer parameters",
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -1,16 +1,18 @@
-"""Class predicates, exhaustive extremal search and theorem/conjecture checking.
+"""Class membership, exhaustive extremal search and theorem/conjecture checking.
 
-A graph's class invariants are computed once into a Profile, and
-ClassConstraint.matches(profile) is the one class predicate.  search()
-folds the cached per-order table of profiles into an exact extremum with
-the complete witness list up to isomorphism.  Each theorem is a table
-row: the orders and parameters it covers, and for each parameter one or
-more statements (class, objective, predicted extremum and extremal
-graphs), all checked by _check into Verdict records.  Uniqueness is
-asserted only where the source states an equivalence ("if and only if" /
-"uniquely"), otherwise only witness membership is required and the
-observed witness set is reported for inspection.  A conjecture violation
-is a reportable finding, never an exception.
+_classes(g) lists the (kind, parameter) key of every class a connected
+graph is in, and is the one definition of class membership.  _fold(n)
+passes once over the order-n representatives and files each graph under
+every key of its classes, by its total eccentricity, so an extremum over a
+class is the least or greatest total in its buckets and that bucket is the
+complete witness list up to isomorphism.  Each theorem is a table row: the
+orders and parameters it covers, and for each parameter one or more
+statements (class, objective, predicted extremum and extremal graphs), all
+checked by _check into Verdict records.  Uniqueness is asserted only where
+the source states an equivalence ("if and only if" / "uniquely"),
+otherwise only witness membership is required and the observed witness set
+is reported for inspection.  A conjecture violation is a reportable
+finding, never an exception.
 """
 
 from __future__ import annotations
@@ -31,36 +33,15 @@ SKIPPED = "skipped"
 CONJECTURE_VIOLATED = "conjecture-violated"
 
 
-class Profile(NamedTuple):
-    """The invariants every class predicate reads, computed once per graph."""
-
-    graph: Graph
-    pendants: int
-    cuts: int
-    is_tree: bool
-    cycle_len: int | None  # girth when unicyclic, else None
-
-
-def profile(g: Graph) -> Profile:
-    """The class invariants of one connected graph."""
-    m = g.edge_count
-    return Profile(
-        g,
-        len(pendant_vertices(g)),
-        len(cut_vertices(g)),
-        m == g.n - 1,
-        girth(g) if m == g.n else None,
-    )
-
-
+# Each class kind, and whether it takes a parameter.
 _KINDS = {
-    "all",
-    "pendant_count",
-    "cut_count",
-    "tree",
-    "tree_with_pendants",
-    "unicyclic",
-    "unicyclic_girth",
+    "all": False,
+    "pendant_count": True,
+    "cut_count": True,
+    "tree": False,
+    "tree_with_pendants": True,
+    "unicyclic": False,
+    "unicyclic_girth": True,
 }
 
 
@@ -74,13 +55,7 @@ class ClassConstraint:
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
             raise ValueError(f"unknown class kind {self.kind!r}")
-        needs_param = self.kind in {
-            "pendant_count",
-            "cut_count",
-            "tree_with_pendants",
-            "unicyclic_girth",
-        }
-        if needs_param:
+        if _KINDS[self.kind]:
             if self.param is None or self.param < 0:
                 raise ValueError(f"class {self.kind} needs a parameter >= 0")
             if self.kind == "unicyclic_girth" and self.param < 3:
@@ -98,24 +73,6 @@ class ClassConstraint:
         if self.kind == "unicyclic_girth" and not 3 <= k <= n:
             raise ValueError(f"girth must be in 3..{n}")
 
-    def matches(self, p: Profile) -> bool:
-        kind, k = self.kind, self.param
-        if kind == "all":
-            return True
-        if kind == "pendant_count":
-            return p.pendants == k
-        if kind == "cut_count":
-            return p.cuts == k
-        if kind == "tree":
-            return p.is_tree
-        if kind == "tree_with_pendants":
-            return p.is_tree and p.pendants == k
-        if kind == "unicyclic":
-            return p.cycle_len is not None
-        if kind == "unicyclic_girth":
-            return p.cycle_len == k
-        raise AssertionError(kind)
-
     def __str__(self) -> str:
         return self.kind if self.param is None else f"{self.kind}={self.param}"
 
@@ -129,20 +86,48 @@ def parse_constraint(text: str) -> ClassConstraint:
     return ClassConstraint(t)
 
 
+def _classes(g: Graph) -> list[tuple[str, int | None]]:
+    """The (kind, parameter) key of every class the connected graph g is in."""
+    m, pendants = g.edge_count, len(pendant_vertices(g))
+    keys = [("all", None), ("pendant_count", pendants), ("cut_count", len(cut_vertices(g)))]
+    if m == g.n - 1:
+        keys += [("tree", None), ("tree_with_pendants", pendants)]
+    elif m == g.n:
+        keys += [("unicyclic", None), ("unicyclic_girth", girth(g))]
+    return keys
+
+
+@lru_cache(maxsize=None)
+def _fold(n: int) -> dict[tuple[str, int | None], dict[int, list[Graph]]]:
+    """Order-n representatives by class key, then by total, in stream order."""
+    fold: dict[tuple[str, int | None], dict[int, list[Graph]]] = {}
+    for g in connected_graph_list(n):
+        eps = total_eccentricity(g)
+        for key in _classes(g):
+            fold.setdefault(key, {}).setdefault(eps, []).append(g)
+    return fold
+
+
+def _buckets(n: int, constraint: ClassConstraint) -> dict[int, list[Graph]]:
+    """The class's members at order n by total; empty when it has none."""
+    return _fold(n).get((constraint.kind, constraint.param), {})
+
+
 def filter_graphs(stream: Iterable[Graph], constraint: ClassConstraint) -> Iterator[Graph]:
-    """Members of the stream satisfying the class predicate."""
+    """Members of the stream that are in the class."""
     if constraint.kind == "all":
         yield from stream
         return
+    key = (constraint.kind, constraint.param)
     for g in stream:
-        if constraint.matches(profile(g)):
+        if key in _classes(g):
             yield g
 
 
 def count_class(n: int, constraint: ClassConstraint) -> int:
     """Cardinality of the constrained class among order-n representatives."""
     constraint.validate_for(n)
-    return sum(1 for p in _class_table(n)[0] if constraint.matches(p))
+    return sum(map(len, _buckets(n, constraint).values()))
 
 
 @dataclass(frozen=True)
@@ -179,13 +164,6 @@ class Verdict:
         return self.status in (PASS, SKIPPED)
 
 
-@lru_cache(maxsize=None)
-def _class_table(n: int) -> tuple[tuple[Profile, ...], tuple[int, ...]]:
-    """Profiles of the order-n class representatives, with their totals in parallel."""
-    graphs = connected_graph_list(n)
-    return tuple([profile(g) for g in graphs]), tuple([total_eccentricity(g) for g in graphs])
-
-
 def _g6(g: Graph) -> str:
     return graph6.encode(canonical_graph(g))
 
@@ -202,22 +180,12 @@ def search(n: int, constraint: ClassConstraint, objective: str) -> ExtremalRepor
 
 
 def _search_or_none(n: int, constraint: ClassConstraint, objective: str) -> ExtremalReport | None:
-    best: int | None = None
-    witnesses: list[Graph] = []
-    size = 0
-    better = (lambda a, b: a < b) if objective == "min" else (lambda a, b: a > b)
-    for p, eps in zip(*_class_table(n)):
-        if not constraint.matches(p):
-            continue
-        size += 1
-        if best is None or better(eps, best):
-            best = eps
-            witnesses = [p.graph]
-        elif eps == best:
-            witnesses.append(p.graph)
-    if best is None:
+    buckets = _buckets(n, constraint)
+    if not buckets:
         return None
-    encoded = tuple(sorted(_g6(g) for g in witnesses))
+    best = min(buckets) if objective == "min" else max(buckets)
+    encoded = tuple(sorted(_g6(g) for g in buckets[best]))
+    size = sum(map(len, buckets.values()))
     return ExtremalReport(n, constraint, objective, best, encoded, size)
 
 
@@ -257,8 +225,6 @@ def _verdict(
         status,
         note,
     )
-
-
 
 
 class _Prediction(NamedTuple):

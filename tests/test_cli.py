@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from totecc import families, graph6
+from totecc import cli, families, graph, graph6
 from totecc.cli import main
 
 
@@ -49,6 +49,68 @@ class TestEps:
         monkeypatch.setattr("sys.stdin", io.StringIO(g1_string + "\n"))
         code, out, _ = run(capsys, "eps", "--stdin")
         assert code == 0 and "eps=10" in out
+
+    @pytest.mark.parametrize("stdin", ["", "\n  \n"])
+    def test_stdin_without_a_graph_is_usage_error(self, capsys, monkeypatch, stdin):
+        monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+        code, out, err = run(capsys, "eps", "--stdin", "--format", "json")
+        assert code == 2 and out == "" and "error: " in err
+
+
+class TestGraphInputs:
+    """eps and rewrite take exactly one of --graph6, --stdin and --family."""
+
+    @pytest.mark.parametrize(
+        "inputs",
+        [
+            ["--graph6", "C~", "--family", "path", "5"],
+            ["--stdin", "--family", "path", "5"],
+            ["--graph6", "C~", "--stdin"],
+            [],
+        ],
+    )
+    @pytest.mark.parametrize("command", [["eps"], ["rewrite", "graft"]])
+    def test_not_exactly_one_input_is_usage_error(self, capsys, monkeypatch, command, inputs):
+        monkeypatch.setattr("sys.stdin", io.StringIO("C~\n"))
+        with pytest.raises(SystemExit) as exc:
+            main(command + inputs)
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
+
+class TestKernelCalls:
+    """Each printed invariants record runs the eccentricity kernel once."""
+
+    @pytest.fixture()
+    def calls(self, monkeypatch):
+        seen = []
+        original = graph.eccentricities
+
+        def counting(g):
+            seen.append(g.n)
+            return original(g)
+
+        monkeypatch.setattr(graph, "eccentricities", counting)
+        monkeypatch.setattr(cli, "eccentricities", counting)
+        return seen
+
+    def test_eps_once_per_graph(self, capsys, calls):
+        code, out, _ = run(capsys, "eps", "--family", "path", "200")
+        assert code == 0 and "eps=29900 " in out and "diameter=199 radius=100" in out
+        assert calls == [200]
+
+    def test_eps_stdin_once_per_graph(self, capsys, monkeypatch, calls):
+        lines = [graph6.encode(families.star(5)), graph6.encode(families.cycle(6))]
+        monkeypatch.setattr("sys.stdin", io.StringIO("\n".join(lines) + "\n"))
+        code, out, _ = run(capsys, "eps", "--stdin")
+        assert code == 0 and "avg_ecc=9/5 diameter=2 radius=1" in out
+        assert calls == [5, 6]
+
+    def test_rewrite_before_and_after(self, capsys, calls):
+        g6 = graph6.encode(families.star(5))
+        code, _, err = run(capsys, "rewrite", "graft", "--graph6", g6)
+        assert code == 0 and "eps delta: +" in err
+        assert calls == [5, 5]
 
 
 class TestFamily:

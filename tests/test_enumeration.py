@@ -7,9 +7,10 @@ from pathlib import Path
 import pytest
 
 from conftest import CONNECTED_COUNTS, RUN_N9, TREE_COUNTS
+from oracles import distance_matrix
 from totecc import ClassConstraint, count_class, families, filter_graphs, parse_constraint
-from totecc import enumeration, graph
-from totecc.canon import _refine, canon, canonical_form
+from totecc import enumeration, graph, graph6, search
+from totecc.canon import _refine, canon, canonical_form, canonical_graph
 from totecc.enumeration import (
     _accept,
     _extend,
@@ -371,8 +372,9 @@ class TestClasses:
                 assert with_cuts == with_pendants
 
     def test_table_and_stream_profiles_agree(self):
-        # count_class reads the cached class table; filter_graphs profiles
-        # each graph as it streams by; the oracle reads the invariants directly.
+        # count_class and search read the cached per-order fold; filter_graphs
+        # lists each graph's classes as it streams by; the oracle reads the
+        # invariants directly, and the totals come from one BFS per vertex.
         def oracle(g, c):
             tree, unicyclic = g.edge_count == g.n - 1, g.edge_count == g.n
             pendants, cuts = len(pendant_vertices(g)), len(cut_vertices(g))
@@ -388,6 +390,7 @@ class TestClasses:
 
         for n in range(1, 8):
             graphs = connected_graph_list(n)
+            totals = [sum(map(max, distance_matrix(g))) for g in graphs]
             constraints = [ClassConstraint(kind) for kind in ("all", "tree", "unicyclic")]
             constraints += [
                 ClassConstraint(kind, k)
@@ -397,8 +400,22 @@ class TestClasses:
             constraints += [ClassConstraint("cut_count", s) for s in range(max(n - 1, 1))]
             constraints += [ClassConstraint("unicyclic_girth", k) for k in range(3, n + 1)]
             for c in constraints:
+                members = [(g, t) for g, t in zip(graphs, totals) if oracle(g, c)]
                 streamed = len(list(filter_graphs(graphs, c)))
-                assert count_class(n, c) == streamed == sum(oracle(g, c) for g in graphs), (n, c)
+                assert count_class(n, c) == streamed == len(members), (n, c)
+                for objective, pick in (("min", min), ("max", max)):
+                    if not members:
+                        with pytest.raises(ValueError, match="is empty"):
+                            search(n, c, objective)
+                        continue
+                    best = pick(t for _, t in members)
+                    witnesses = sorted(
+                        graph6.encode(canonical_graph(g)) for g, t in members if t == best
+                    )
+                    report = search(n, c, objective)
+                    assert report.value == best, (n, c, objective)
+                    assert list(report.witnesses) == witnesses, (n, c, objective)
+                    assert report.class_size == len(members), (n, c, objective)
 
     def test_unicyclic_girth_filter(self):
         members = list(
