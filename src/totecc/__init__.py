@@ -6,7 +6,7 @@ verification of the extremal statements they support.
 """
 
 from .canon import CanonResult, automorphism_orbits, canon, canonical_form, canonical_graph
-from .enumeration import connected_graph_list, connected_graphs, connected_graphs_dedup
+from .enumeration import connected_graph_list, connected_graphs
 from .extremal import (
     ClassConstraint,
     ExtremalReport,
@@ -29,7 +29,6 @@ from .graph import (
     blocks,
     center,
     cut_vertices,
-    cut_vertices_by_deletion,
     diameter,
     eccentricities,
     eccentricity,
@@ -64,10 +63,8 @@ __all__ = [
     "check_conjecture",
     "connected_graph_list",
     "connected_graphs",
-    "connected_graphs_dedup",
     "count_class",
     "cut_vertices",
-    "cut_vertices_by_deletion",
     "diameter",
     "eccentricities",
     "eccentricity",

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -150,15 +151,11 @@ def _cmd_rewrite(args: argparse.Namespace) -> int:
     return 0
 
 
-def _enumerate_shard(
-    task: tuple[int, int, int, bool, extremal.ClassConstraint]
-) -> list[list[str]]:
-    """graph6 lines of one shard's class members, one list per level-6 subtree."""
-    n, idx, workers, allow_large, constraint = task
-    return [
-        [graph6.encode(g) for g in filter_graphs(subtree, constraint)]
-        for subtree in enumeration._subtrees(n, (idx, workers), allow_large)
-    ]
+def _subtree_lines(
+    root: enumeration.Root, n: int, constraint: extremal.ClassConstraint
+) -> list[str]:
+    """graph6 lines of the class members in one subtree of the stream."""
+    return [graph6.encode(g) for g in filter_graphs(enumeration.subtree(root, n), constraint)]
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
@@ -166,32 +163,24 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
         raise ValueError(f"--workers must be at least 1, got {args.workers}")
     constraint = parse_constraint(args.constraint or "all")
     constraint.validate_for(args.n)
+    enumeration.check_order(args.n, args.allow_large)
     out = open(args.graph6_out, "w") if args.graph6_out else sys.stdout
     try:
+        count = 0
         if args.workers > 1:
             import multiprocessing
 
-            tasks = [
-                (args.n, i, args.workers, args.allow_large, constraint)
-                for i in range(args.workers)
-            ]
-            with multiprocessing.get_context("spawn").Pool(args.workers) as pool:
-                shards = pool.map(_enumerate_shard, tasks)
-            # Shard i holds subtrees i, i + w, ...: deal them back round-robin.
-            lines = [
-                line
-                for j in range(len(shards[0]))
-                for shard in shards
-                if j < len(shard)
-                for line in shard[j]
-            ]
+            roots = enumeration.roots(args.n, args.allow_large)
+            job = functools.partial(_subtree_lines, n=args.n, constraint=constraint)
+            with multiprocessing.get_context("spawn").Pool(min(args.workers, len(roots))) as pool:
+                for lines in pool.imap(job, roots):
+                    out.writelines(line + "\n" for line in lines)
+                    count += len(lines)
         else:
             graphs = enumeration.connected_graphs(args.n, allow_large=args.allow_large)
-            lines = (graph6.encode(g) for g in filter_graphs(graphs, constraint))
-        count = 0
-        for line in lines:
-            out.write(line + "\n")
-            count += 1
+            for g in filter_graphs(graphs, constraint):
+                out.write(graph6.encode(g) + "\n")
+                count += 1
         print(f"emitted {count} graphs on {args.n} vertices", file=sys.stderr)
     finally:
         if out is not sys.stdout:

@@ -1,4 +1,4 @@
-"""Isomorph-free streams of connected graphs, and the oracles that check them.
+"""The isomorph-free stream of connected graphs.
 
 The primary stream grows graphs one vertex at a time (orderly / canonical
 construction path): a child made by attaching vertex k to a neighbor
@@ -7,8 +7,13 @@ canonical deletion vertex (the non-cut vertex holding the highest
 canonical label), and parents only try one neighbor subset per orbit of
 their own automorphism group.  This emits exactly one representative per
 isomorphism class without keeping a global seen-set, so the stream is
-memory-flat, restartable, deterministic in order, and shardable on the
-level-6 subtree roots.
+memory-flat, restartable and deterministic in order.
+
+The stream splits at one level: roots(n) lists its graphs of order
+min(n, 6) in stream order, subtree(root, n) yields the order-n graphs
+below one root, and connected_graphs(n) chains the subtrees in root
+order.  Subtrees processed apart and joined in root order give the
+stream exactly.
 
 Most children are decided without the canon search tree (McKay, J.
 Algorithms 26, 1998).  The deletion vertex and its whole orbit lie in
@@ -24,10 +29,9 @@ the child's automorphism generators are still needed to extend it: a
 child of the requested final order is emitted without them.  _accept
 holds the argument in full.
 
-connected_graphs_dedup() is the independent fallback (extend everything,
-dedup by canonical form); the test suite checks both agree for n <= 7.
-labeled_graphs() and labeled_connected_count() are the brute-force
-oracle for the counts.  Class predicates live in extremal.
+The independent oracles (extend everything and dedup by canonical form,
+brute force over labeled graphs) live with the tests.  Class predicates
+live in extremal.
 """
 
 from __future__ import annotations
@@ -36,19 +40,21 @@ from functools import lru_cache
 from typing import Iterator
 
 from .canon import _refine, canon
-from .graph import Graph, _is_cut_vertex, bits, is_connected
+from .graph import Graph, _is_cut_vertex, bits
 
 #: Exhaustive enumeration cap; n = 10 (~11.7M classes) needs the explicit
-#: opt-in and realistically also sharded workers.
+#: opt-in and realistically also parallel workers.
 MAX_EXHAUSTIVE = 9
 MAX_OPTIN = 10
 
-_SHARD_LEVEL = 6
+_ROOT_LEVEL = 6
 
 _K1 = Graph(1, (0,))
 
 #: Automorphism generators as canon returns them, one image tuple each.
 Gens = tuple[tuple[int, ...], ...]
+#: A graph of the stream with its generators, None where canon was skipped.
+Root = tuple[Graph, Gens | None]
 
 
 def _extend(g: Graph, mask: int) -> Graph:
@@ -156,9 +162,7 @@ def _accept(child: Graph, last: bool) -> tuple[bool, Gens | None]:
     return res.orbits[k] == res.orbits[deletion], res.generators
 
 
-def _grow(
-    g: Graph, gens: Gens | None, level: int, n: int
-) -> Iterator[tuple[Graph, Gens | None]]:
+def _grow(g: Graph, gens: Gens | None, level: int, n: int) -> Iterator[Root]:
     """The stream's graphs of order ``level`` below ``g``, with their generators.
 
     ``n`` is the final order the caller asked for, which may exceed
@@ -175,85 +179,40 @@ def _grow(
             yield from _grow(child, child_gens, level, n)
 
 
-def connected_graphs(
-    n: int, *, shard: tuple[int, int] | None = None, allow_large: bool = False
-) -> Iterator[Graph]:
-    """Exactly one representative per isomorphism class, streamed.
-
-    ``shard=(i, w)`` keeps only every w-th level-6 subtree starting at the
-    i-th; the union over all shards is the full stream and aggregations
-    over it must not depend on order.
-    """
-    for subtree in _subtrees(n, shard, allow_large):
-        yield from subtree
-
-
-def _subtrees(
-    n: int, shard: tuple[int, int] | None, allow_large: bool
-) -> Iterator[Iterator[Graph]]:
-    """The stream of connected_graphs, one iterator per level-6 subtree in the shard.
-
-    Shard (i, w) gets subtrees i, i + w, ...; taking one subtree from each
-    shard in turn restores the unsharded order.
-    """
+def check_order(n: int, allow_large: bool = False) -> None:
+    """Raise ValueError unless the stream supports order n."""
     cap = MAX_OPTIN if allow_large else MAX_EXHAUSTIVE
     if not 1 <= n <= cap:
         raise ValueError(
             f"exhaustive enumeration supports 1 <= n <= {cap}"
             + ("" if allow_large else " (allow_large=True unlocks 10)")
         )
-    if shard is None:
-        shard = (0, 1)
-    idx, total = shard
-    if total < 1 or not 0 <= idx < total:
-        raise ValueError(f"invalid shard {shard}")
-    base_level = min(n, _SHARD_LEVEL)
-    # Pass n, not base_level, as the final order: roots below n are extended
-    # further and need their generators.
-    for count, (base, gens) in enumerate(_grow(_K1, (), base_level, n)):
-        if count % total == idx:
-            yield (g for g, _ in _grow(base, gens, n, n))
+
+
+def roots(n: int, allow_large: bool = False) -> list[Root]:
+    """The stream's graphs of order min(n, 6) with their generators, in stream order."""
+    check_order(n, allow_large)
+    # Pass n, not the root level, as the final order: roots below n are
+    # extended further and need their generators.
+    return list(_grow(_K1, (), min(n, _ROOT_LEVEL), n))
+
+
+def subtree(root: Root, n: int) -> Iterator[Graph]:
+    """The order-n graphs of the stream below one of roots(n), in stream order."""
+    g, gens = root
+    # A root below order n must carry the generators roots(n) gives it.
+    if g.n != min(n, _ROOT_LEVEL) or gens is None and g.n < n:
+        raise ValueError(f"not one of roots({n})")
+    return (child for child, _ in _grow(g, gens, n, n))
+
+
+def connected_graphs(n: int, *, allow_large: bool = False) -> Iterator[Graph]:
+    """Exactly one representative per isomorphism class: roots(n)'s subtrees in order."""
+    for root in roots(n, allow_large):
+        yield from subtree(root, n)
 
 
 @lru_cache(maxsize=None)
 def connected_graph_list(n: int) -> tuple[Graph, ...]:
     """Cached full list of class representatives (reused by searches)."""
     return tuple(connected_graphs(n))
-
-
-def connected_graphs_dedup(n: int) -> list[Graph]:
-    """Fallback generator: extend every subset, dedup by canonical form."""
-    if not 1 <= n <= MAX_EXHAUSTIVE:
-        raise ValueError(f"dedup enumeration supports 1 <= n <= {MAX_EXHAUSTIVE}")
-    level = [_K1]
-    for k in range(2, n + 1):
-        seen: set[bytes] = set()
-        nxt: list[Graph] = []
-        for parent in level:
-            for mask in range(1, 1 << (k - 1)):
-                child = _extend(parent, mask)
-                form = canon(child).form
-                if form not in seen:
-                    seen.add(form)
-                    nxt.append(child)
-        level = nxt
-    return level
-
-
-def labeled_graphs(n: int) -> Iterator[Graph]:
-    """Every labeled simple graph on n vertices (2^(n choose 2) of them)."""
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    for mask in range(1 << len(pairs)):
-        rows = [0] * n
-        m = mask
-        for u, v in pairs:
-            if m & 1:
-                rows[u] |= 1 << v
-                rows[v] |= 1 << u
-            m >>= 1
-        yield Graph(n, tuple(rows))
-
-
-def labeled_connected_count(n: int) -> int:
-    """Count of connected labeled graphs by direct enumeration (oracle)."""
-    return sum(1 for g in labeled_graphs(n) if is_connected(g))

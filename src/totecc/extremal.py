@@ -1,17 +1,20 @@
 """Class membership, exhaustive extremal search and theorem/conjecture checking.
 
-_classes(g) lists the (kind, parameter) key of every class a connected
-graph is in, and is the one definition of class membership.  _fold(n)
-passes once over the order-n representatives and files each graph under
-every key of its classes, by its total eccentricity, so an extremum over a
-class is the least or greatest total in its buckets and that bucket is the
-complete witness list up to isomorphism.  Each theorem is a table row: the
-orders and parameters it covers, and for each parameter one or more
-statements (class, objective, predicted extremum and extremal graphs), all
-checked by _check into Verdict records.  Uniqueness is asserted only where
-the source states an equivalence ("if and only if" / "uniquely"),
-otherwise only witness membership is required and the observed witness set
-is reported for inspection.  A conjecture violation is a reportable
+_KINDS, one row per class kind (the edge count its members need and the
+invariant that gives its parameter), is the one definition of class
+membership.  _classes(g) reads from it the (kind, parameter) key of every
+class a connected graph is in; filter_graphs asks _classes for one kind,
+so it computes only that kind's parameter.  _fold(n) passes once over the
+order-n representatives and files each graph under every key of its
+classes, by its total eccentricity, so an extremum over a class is the
+least or greatest total in its buckets and that bucket is the complete
+witness list up to isomorphism.  Each theorem is a table row: the orders
+and parameters it covers, and for each parameter one or more statements
+(class, objective, predicted extremum and extremal graphs), all checked
+by _check into Verdict records.  Uniqueness is asserted only where the
+source states an equivalence ("if and only if" / "uniquely"), otherwise
+only witness membership is required and the observed witness set is
+reported for inspection.  A conjecture violation is a reportable
 finding, never an exception.
 """
 
@@ -33,15 +36,23 @@ SKIPPED = "skipped"
 CONJECTURE_VIOLATED = "conjecture-violated"
 
 
-# Each class kind, and whether it takes a parameter.
+class _Kind(NamedTuple):
+    """A class kind: the edge count it needs, and how a graph gives its parameter."""
+
+    excess: int | None  # edges minus vertices of every member; None: any graph
+    param: Callable[[Graph], int | None] | None  # None: the kind takes no parameter
+
+
+# Each class kind.  The lambdas look their invariant up at call time, so a
+# wrapper bound to this module's name (a call counter) sees every call.
 _KINDS = {
-    "all": False,
-    "pendant_count": True,
-    "cut_count": True,
-    "tree": False,
-    "tree_with_pendants": True,
-    "unicyclic": False,
-    "unicyclic_girth": True,
+    "all": _Kind(None, None),
+    "pendant_count": _Kind(None, lambda g: len(pendant_vertices(g))),
+    "cut_count": _Kind(None, lambda g: len(cut_vertices(g))),
+    "tree": _Kind(-1, None),
+    "tree_with_pendants": _Kind(-1, lambda g: len(pendant_vertices(g))),
+    "unicyclic": _Kind(0, None),
+    "unicyclic_girth": _Kind(0, lambda g: girth(g)),
 }
 
 
@@ -55,7 +66,7 @@ class ClassConstraint:
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
             raise ValueError(f"unknown class kind {self.kind!r}")
-        if _KINDS[self.kind]:
+        if _KINDS[self.kind].param is not None:
             if self.param is None or self.param < 0:
                 raise ValueError(f"class {self.kind} needs a parameter >= 0")
             if self.kind == "unicyclic_girth" and self.param < 3:
@@ -86,14 +97,17 @@ def parse_constraint(text: str) -> ClassConstraint:
     return ClassConstraint(t)
 
 
-def _classes(g: Graph) -> list[tuple[str, int | None]]:
-    """The (kind, parameter) key of every class the connected graph g is in."""
-    m, pendants = g.edge_count, len(pendant_vertices(g))
-    keys = [("all", None), ("pendant_count", pendants), ("cut_count", len(cut_vertices(g)))]
-    if m == g.n - 1:
-        keys += [("tree", None), ("tree_with_pendants", pendants)]
-    elif m == g.n:
-        keys += [("unicyclic", None), ("unicyclic_girth", girth(g))]
+def _classes(g: Graph, kinds: Iterable[str] = _KINDS) -> list[tuple[str, int | None]]:
+    """The (kind, parameter) key of every class of the given kinds that g is in.
+
+    g is connected; only the parameters of the kinds asked for are computed.
+    """
+    excess = g.edge_count - g.n
+    keys = []
+    for kind in kinds:
+        needs, param = _KINDS[kind]
+        if needs is None or needs == excess:
+            keys.append((kind, None if param is None else param(g)))
     return keys
 
 
@@ -114,14 +128,9 @@ def _buckets(n: int, constraint: ClassConstraint) -> dict[int, list[Graph]]:
 
 
 def filter_graphs(stream: Iterable[Graph], constraint: ClassConstraint) -> Iterator[Graph]:
-    """Members of the stream that are in the class."""
-    if constraint.kind == "all":
-        yield from stream
-        return
-    key = (constraint.kind, constraint.param)
-    for g in stream:
-        if key in _classes(g):
-            yield g
+    """Members of the stream that are in the class, by its kind's parameter alone."""
+    kinds, key = (constraint.kind,), (constraint.kind, constraint.param)
+    return (g for g in stream if _classes(g, kinds) == [key])
 
 
 def count_class(n: int, constraint: ClassConstraint) -> int:

@@ -384,14 +384,6 @@ def _is_cut_vertex(adj: Sequence[int], v: int) -> bool:
     return _reach(adj, 1 if v == 0 else 0, 1 << v).bit_count() != len(adj) - 1
 
 
-def cut_vertices_by_deletion(g: Graph) -> frozenset[int]:
-    """Articulation points by n deletion/connectivity checks (oracle path)."""
-    _require_connected(g)
-    if g.n == 1:
-        return frozenset()
-    return frozenset(v for v in range(g.n) if _is_cut_vertex(g.adj, v))
-
-
 def blocks(g: Graph) -> BlockDecomposition:
     """Biconnected components, cut vertices, and the block graph."""
     cut_set, raw_blocks = _tarjan(g)

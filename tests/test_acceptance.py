@@ -29,7 +29,7 @@ from conftest import (
     glue_relocate,
     random_connected_graph,
 )
-from oracles import distance_matrix
+from oracles import cut_vertices_by_deletion, distance_matrix
 from totecc import (
     ClassConstraint,
     count_class,
@@ -46,7 +46,6 @@ from totecc.extremal import CONJECTURE_VIOLATED, PASS, check_conjecture, verify_
 from totecc.graph import (
     Graph,
     cut_vertices,
-    cut_vertices_by_deletion,
     eccentricities,
     total_eccentricity,
     wiener_index,

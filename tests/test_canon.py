@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from oracles import labeled_graphs
 from totecc import families
 from totecc.canon import (
     CanonResult,
@@ -17,7 +18,7 @@ from totecc.canon import (
     canonical_form,
     canonical_graph,
 )
-from totecc.enumeration import connected_graph_list, connected_graphs, labeled_graphs
+from totecc.enumeration import connected_graph_list, connected_graphs
 from totecc.graph import Graph, bits, is_connected
 
 # ``totecc.canon`` names the function on the package, so fetch the module.

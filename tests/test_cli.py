@@ -1,13 +1,16 @@
 """CLI: payload formats, exit codes, pipe-style flows."""
 
 import csv
+import hashlib
 import io
 import json
+from pathlib import Path
 
 import pytest
 
-from totecc import cli, families, graph, graph6
+from totecc import cli, extremal, families, graph, graph6
 from totecc.cli import main
+from totecc.enumeration import connected_graphs
 
 
 def run(capsys, *argv):
@@ -225,6 +228,59 @@ class TestEnumerate:
         )
         assert code == 2 and out == "" and err.startswith("error: ")
         assert not target.exists()
+
+    @pytest.mark.parametrize("existing", [False, True])
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize(
+        "order",
+        [["-n", "10"], ["-n", "0"], ["-n", "11"], ["-n", "11", "--allow-large"]],
+        ids=["10", "0", "11", "11-allow-large"],
+    )
+    def test_order_out_of_range_leaves_file(self, capsys, tmp_path, order, workers, existing):
+        target = tmp_path / "out.g6"
+        if existing:
+            target.write_bytes(b"kept\n")
+        code, out, err = run(
+            capsys, "enumerate", *order, "--workers", workers, "--graph6-out", str(target)
+        )
+        assert code == 2 and out == "" and err.startswith("error: ")
+        if existing:
+            assert target.read_bytes() == b"kept\n"
+        else:
+            assert not target.exists()
+
+    def test_workers_match_golden_8(self, capsys):
+        golden = Path(__file__).parent / "golden"
+        code, out, err = run(capsys, "enumerate", "-n", "8", "--workers", "2")
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == (golden / "enumerate_8.sha256").read_text().strip()
+        assert err == (golden / "enumerate_8.stderr").read_text()
+        assert code == int((golden / "enumerate_8.exit").read_text())
+
+    def test_more_workers_than_roots(self, capsys):
+        # below order 6 every root is one graph, so n = 1..4 has 1, 1, 2, 6 roots
+        for n in ("1", "2", "3", "4"):
+            serial = run(capsys, "enumerate", "-n", n)
+            assert run(capsys, "enumerate", "-n", n, "--workers", "3") == serial
+
+    @pytest.mark.parametrize("cls", ["tree", "unicyclic_girth=4"])
+    def test_edge_count_classes_run_no_cut_vertices(self, capsys, monkeypatch, cls):
+        def member(g):
+            if cls == "tree":
+                return g.edge_count == g.n - 1
+            return g.edge_count == g.n and graph.girth(g) == 4
+
+        expected = [graph6.encode(g) for g in connected_graphs(7) if member(g)]
+        calls = []
+
+        def counting(g):
+            calls.append(g)
+            return graph.cut_vertices(g)
+
+        monkeypatch.setattr(extremal, "cut_vertices", counting)
+        code, out, _ = run(capsys, "enumerate", "-n", "7", "--class", cls)
+        assert code == 0 and expected and out.splitlines() == expected
+        assert calls == []
 
 
 class TestSearch:

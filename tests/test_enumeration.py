@@ -7,9 +7,14 @@ from pathlib import Path
 import pytest
 
 from conftest import CONNECTED_COUNTS, RUN_N9, TREE_COUNTS
-from oracles import distance_matrix
+from oracles import (
+    connected_graphs_dedup,
+    distance_matrix,
+    labeled_connected_count,
+    labeled_graphs,
+)
 from totecc import ClassConstraint, count_class, families, filter_graphs, parse_constraint
-from totecc import enumeration, graph, graph6, search
+from totecc import enumeration, extremal, graph, graph6, search
 from totecc.canon import _refine, canon, canonical_form, canonical_graph
 from totecc.enumeration import (
     _accept,
@@ -17,9 +22,8 @@ from totecc.enumeration import (
     _subset_orbit_reps,
     connected_graph_list,
     connected_graphs,
-    connected_graphs_dedup,
-    labeled_connected_count,
-    labeled_graphs,
+    roots,
+    subtree,
 )
 from totecc.graph import Graph, bits, cut_vertices, girth, is_connected, pendant_vertices
 
@@ -43,12 +47,22 @@ class TestStream:
     def test_deterministic_order(self):
         assert list(connected_graphs(6)) == list(connected_graphs(6))
 
-    def test_shards_partition_stream(self):
-        full = [canonical_form(g) for g in connected_graphs(7)]
-        sharded = []
-        for i in range(3):
-            sharded.extend(canonical_form(g) for g in connected_graphs(7, shard=(i, 3)))
-        assert sorted(full) == sorted(sharded)
+    def test_subtrees_in_root_order_are_the_stream(self):
+        # the roots have order min(n, 6); below 6 each root is its own subtree
+        for n in (1, 4, 6, 7):
+            rooted = [g for root in roots(n) for g in subtree(root, n)]
+            assert rooted == list(connected_graphs(n))
+            assert len(roots(n)) == CONNECTED_COUNTS[min(n, 6)]
+
+    @pytest.mark.parametrize("root_order, n", [(6, 5), (5, 7), (6, 8)])
+    def test_subtree_rejects_roots_of_another_stream(self, root_order, n):
+        # below the wrong order the stream would grow without end; a root
+        # of roots(6) that lacks generators would repeat classes below it
+        bad = [r for r in roots(root_order) if r[0].n != min(n, 6) or r[1] is None]
+        assert bad
+        for root in bad:
+            with pytest.raises(ValueError):
+                subtree(root, n)
 
     def test_range_errors(self):
         with pytest.raises(ValueError):
@@ -57,8 +71,14 @@ class TestStream:
             list(connected_graphs(10))  # needs allow_large
         with pytest.raises(ValueError):
             list(connected_graphs(11, allow_large=True))
-        with pytest.raises(ValueError):
-            list(connected_graphs(5, shard=(3, 3)))
+
+    @pytest.mark.parametrize("n, allow_large", [(0, False), (10, False), (0, True), (11, True)])
+    def test_roots_reject_the_same_orders(self, n, allow_large):
+        with pytest.raises(ValueError) as from_stream:
+            list(connected_graphs(n, allow_large=allow_large))
+        with pytest.raises(ValueError) as from_roots:
+            roots(n, allow_large)
+        assert str(from_roots.value) == str(from_stream.value)
 
     def test_order_10_optin_streams(self):
         # full order-10 enumeration is impractical; the stream must start
@@ -416,6 +436,17 @@ class TestClasses:
                     assert report.value == best, (n, c, objective)
                     assert list(report.witnesses) == witnesses, (n, c, objective)
                     assert report.class_size == len(members), (n, c, objective)
+
+    def test_fold_finds_cut_vertices_once_per_graph(self, monkeypatch):
+        calls = []
+
+        def counting(g):
+            calls.append(g)
+            return cut_vertices(g)
+
+        monkeypatch.setattr(extremal, "cut_vertices", counting)
+        extremal._fold.__wrapped__(7)  # uncached, leaving the cache as it is
+        assert calls == list(connected_graph_list(7))
 
     def test_unicyclic_girth_filter(self):
         members = list(

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import distance_matrix
+from oracles import cut_vertices_by_deletion, distance_matrix
 from totecc import families
 from totecc import graph as graph_module
 from totecc.canon import canonical_form
@@ -20,7 +20,6 @@ from totecc.graph import (
     blocks,
     center,
     cut_vertices,
-    cut_vertices_by_deletion,
     diameter,
     eccentricities,
     eccentricity,
