@@ -60,22 +60,32 @@ def _refine(adj: tuple[int, ...], cells: list[int], splitters: list[int]) -> lis
 
     Splits every multi-vertex cell by neighbor counts into the splitter
     masks, new sub-cells ordered by ascending count.  The procedure is
-    label-equivariant, which is all canonicity requires.
+    label-equivariant, which is all canonicity requires.  A cell with no
+    neighbor in the splitter has count 0 throughout and is passed over.
     """
     queue = list(splitters)
     qi = 0
     while qi < len(queue):
         splitter = queue[qi]
         qi += 1
+        near = 0
+        m = splitter
+        while m:
+            low = m & -m
+            near |= adj[low.bit_length() - 1]
+            m ^= low
         out: list[int] = []
         for cell in cells:
-            if cell.bit_count() == 1:
+            if not cell & near or cell.bit_count() == 1:
                 out.append(cell)
                 continue
             buckets: dict[int, int] = {}
-            for v in bits(cell):
-                key = (adj[v] & splitter).bit_count()
-                buckets[key] = buckets.get(key, 0) | (1 << v)
+            m = cell
+            while m:
+                low = m & -m
+                key = (adj[low.bit_length() - 1] & splitter).bit_count()
+                buckets[key] = buckets.get(key, 0) | low
+                m ^= low
             if len(buckets) == 1:
                 out.append(cell)
             else:
@@ -93,14 +103,21 @@ def _leaf_code(n: int, adj: tuple[int, ...], perm: tuple[int, ...], nbytes: int)
     chunks = []
     for v in perm:
         row = 0
-        for u in bits(adj[v]):
-            row |= 1 << pos[u]
+        m = adj[v]
+        while m:
+            low = m & -m
+            row |= 1 << pos[low.bit_length() - 1]
+            m ^= low
         chunks.append(row.to_bytes(nbytes, "big"))
     return b"".join(chunks)
 
 
-def canon(g: Graph) -> CanonResult:
-    """Run the full canonical search on ``g``."""
+def canon(g: Graph, initial: list[int] | None = None) -> CanonResult:
+    """Run the full canonical search on ``g``.
+
+    ``initial``, if given, is ``_refine(g.adj, [full], [full])`` with full
+    the mask of all of g's vertices, already computed by the caller.
+    """
     n = g.n
     if n > MAX_CANON_VERTICES:
         raise ValueError(f"canonical labeling supports n <= {MAX_CANON_VERTICES}, got {n}")
@@ -131,7 +148,8 @@ def canon(g: Graph) -> CanonResult:
                 if any(gamma[v] != v for v in range(n)):
                     gens.append(tuple(gamma))
                     for v in range(n):
-                        uf.union(v, gamma[v])
+                        if gamma[v] != v:
+                            uf.union(v, gamma[v])
             return
 
         # Target cell: smallest non-singleton, earliest position on ties.
@@ -152,14 +170,15 @@ def canon(g: Graph) -> CanonResult:
         # subtrees of earlier siblings append them.
         puf: _UnionFind | None = None
         merged = 0
-        for v in sorted(bits(target)):
+        for v in bits(target):
             if tried:
                 for gamma in gens[merged:]:
                     if all(gamma[x] == x for x in path):
                         if puf is None:
                             puf = _UnionFind(n)
                         for x in range(n):
-                            puf.union(x, gamma[x])
+                            if gamma[x] != x:
+                                puf.union(x, gamma[x])
                 merged = len(gens)
                 if puf is not None and any(puf.find(v) == puf.find(u) for u in tried):
                     continue
@@ -177,7 +196,8 @@ def canon(g: Graph) -> CanonResult:
             search(refined, path)
             path.pop()
 
-    initial = _refine(adj, [full], [full])
+    if initial is None:
+        initial = _refine(adj, [full], [full])
     search(initial, [])
     if best_code is None or best_perm is None:
         raise RuntimeError("canon: the search reached no leaf")

@@ -21,13 +21,16 @@ the non-cut part of the last cell of the child's initial equitable
 partition that holds a non-cut vertex, and a child whose new vertex lies
 outside it is rejected.  That partition is ordered by ascending degree,
 so the cell lies in the highest degree class holding a non-cut vertex:
-most children are decided from degrees and a few deletion searches
-(one per vertex tested), and the refinement runs only when another
-non-cut vertex shares the new vertex's degree.  When that part is the
-new vertex alone the child is accepted outright, and canon runs only if
-the child's automorphism generators are still needed to extend it: a
-child of the requested final order is emitted without them.  _accept
-holds the argument in full.
+most children are decided from degrees alone, and the refinement runs
+only when another non-cut vertex shares the new vertex's degree; canon
+then starts from that refinement.  No cut test searches a child: each
+parent lists once the components of itself less each vertex, and a
+parent vertex is a cut vertex of a child iff the new vertex's neighbors
+miss one of its components.  When that part is the new vertex alone the
+child is accepted outright, and canon runs only if the child's
+automorphism generators are still needed to extend it: a child of the
+requested final order is emitted without them.  _accept holds the
+argument in full.
 
 The independent oracles (extend everything and dedup by canonical form,
 brute force over labeled graphs) live with the tests.  Class predicates
@@ -40,7 +43,7 @@ from functools import lru_cache
 from typing import Iterator
 
 from .canon import _refine, canon
-from .graph import Graph, _is_cut_vertex, bits
+from .graph import Graph, _reach, bits
 
 #: Exhaustive enumeration cap; n = 10 (~11.7M classes) needs the explicit
 #: opt-in and realistically also parallel workers.
@@ -55,6 +58,8 @@ _K1 = Graph(1, (0,))
 Gens = tuple[tuple[int, ...], ...]
 #: A graph of the stream with its generators, None where canon was skipped.
 Root = tuple[Graph, Gens | None]
+#: For each vertex v of a graph, the components of the graph less v.
+Parts = tuple[tuple[int, ...], ...]
 
 
 def _extend(g: Graph, mask: int) -> Graph:
@@ -68,14 +73,29 @@ def _extend(g: Graph, mask: int) -> Graph:
     return Graph._unchecked(g.n + 1, tuple(rows))
 
 
-def _apply_to_mask(gamma: tuple[int, ...], mask: int) -> int:
-    out = 0
-    v = mask
-    while v:
-        low = v & -v
-        out |= 1 << gamma[low.bit_length() - 1]
-        v ^= low
-    return out
+def _parts(g: Graph) -> Parts:
+    """For each vertex v of g, the vertex masks of the components of g - v."""
+    adj = g.adj
+    full = (1 << g.n) - 1
+    parts = []
+    for v in range(g.n):
+        rest = full ^ 1 << v
+        comps = []
+        while rest:
+            comp = _reach(adj, (rest & -rest).bit_length() - 1, 1 << v)
+            comps.append(comp)
+            rest ^= comp
+        parts.append(tuple(comps))
+    return tuple(parts)
+
+
+def _is_cut(comps: tuple[int, ...], mask: int) -> bool:
+    """Whether a parent vertex v is a cut vertex of the child joined to ``mask``.
+
+    ``comps`` are the components of the parent less v; _accept holds the
+    argument.
+    """
+    return not all(comp & mask for comp in comps)
 
 
 def _subset_orbit_reps(k: int, gens: Gens) -> Iterator[int]:
@@ -83,6 +103,15 @@ def _subset_orbit_reps(k: int, gens: Gens) -> Iterator[int]:
     if not gens:
         yield from range(1, 1 << k)
         return
+    # images[i][m] is the image of mask m under gens[i]; the masks with
+    # highest bit j are those below 1 << j with j's image added.
+    images = []
+    for gamma in gens:
+        img = [0]
+        for j in range(k):
+            b = 1 << gamma[j]
+            img += [m | b for m in img]
+        images.append(img)
     seen = bytearray(1 << k)
     for mask in range(1, 1 << k):
         if seen[mask]:
@@ -92,16 +121,17 @@ def _subset_orbit_reps(k: int, gens: Gens) -> Iterator[int]:
         seen[mask] = 1
         while stack:
             m = stack.pop()
-            for gamma in gens:
-                im = _apply_to_mask(gamma, m)
+            for img in images:
+                im = img[m]
                 if not seen[im]:
                     seen[im] = 1
                     stack.append(im)
 
 
-def _accept(child: Graph, last: bool) -> tuple[bool, Gens | None]:
+def _accept(child: Graph, last: bool, parts: Parts) -> tuple[bool, Gens | None]:
     """The canonical-deletion test for ``child``, whose new vertex is its last.
 
+    ``parts`` is ``_parts`` of the parent, the child less its new vertex.
     Returns whether the child is accepted, and the automorphism generators
     canon found for it, or None where canon did not run.
 
@@ -129,24 +159,34 @@ def _accept(child: Graph, last: bool) -> tuple[bool, Gens | None]:
     k's class, and the child is rejected.  Otherwise, if k is the only
     non-cut vertex of its degree, ``cand`` is k alone; only when it is not
     does the refinement run, to find the last cell of that class with a
-    non-cut vertex.  Each cut test is one search with the vertex deleted.
+    non-cut vertex, and canon starts from that same refinement.
+
+    No cut test searches the child.  The child less a parent vertex v is
+    parent - v plus k, and k is joined to the components of parent - v
+    that meet its neighbor mask M.  So v is a cut vertex of the child iff
+    some component of parent - v misses M; when every one meets M, M holds
+    more than v and k is joined too.  With M == {v} every component misses
+    M and k is cut off, except below the parent K1: K1 - v has no
+    component, and the child K2 has no cut vertex.
     """
     n = child.n
     k = n - 1
     adj = child.adj
+    mask = adj[k]
     deg = [row.bit_count() for row in adj]
     dk = deg[k]
-    for v in range(k):
-        if deg[v] > dk and not _is_cut_vertex(adj, v):
-            return False, None
     noncut = 1 << k
     for v in range(k):
-        if deg[v] == dk and not _is_cut_vertex(adj, v):
+        if deg[v] >= dk and not _is_cut(parts[v], mask):
+            if deg[v] > dk:
+                return False, None
             noncut |= 1 << v
     cand = noncut
+    initial = None
     if noncut != 1 << k:
         full = (1 << n) - 1
-        for cell in reversed(_refine(adj, [full], [full])):
+        initial = _refine(adj, [full], [full])
+        for cell in reversed(initial):
             cand = cell & noncut
             if cand:
                 break
@@ -154,7 +194,7 @@ def _accept(child: Graph, last: bool) -> tuple[bool, Gens | None]:
             return False, None
     if last and cand == 1 << k:
         return True, None
-    res = canon(child)
+    res = canon(child, initial)
     pos = [0] * n
     for i, v in enumerate(res.labeling):
         pos[v] = i
@@ -172,9 +212,10 @@ def _grow(g: Graph, gens: Gens | None, level: int, n: int) -> Iterator[Root]:
     if g.n == level:
         yield g, gens
         return
+    parts = _parts(g)
     for mask in _subset_orbit_reps(g.n, gens):
         child = _extend(g, mask)
-        accepted, child_gens = _accept(child, g.n + 1 == n)
+        accepted, child_gens = _accept(child, g.n + 1 == n, parts)
         if accepted:
             yield from _grow(child, child_gens, level, n)
 

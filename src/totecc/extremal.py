@@ -43,14 +43,19 @@ class _Kind(NamedTuple):
     param: Callable[[Graph], int | None] | None  # None: the kind takes no parameter
 
 
-# Each class kind.  The lambdas look their invariant up at call time, so a
-# wrapper bound to this module's name (a call counter) sees every call.
+def _pendant_count(g: Graph) -> int:
+    return len(pendant_vertices(g))
+
+
+# Each class kind.  The parameter functions look their invariant up at call
+# time, so a wrapper bound to this module's name (a call counter) sees every
+# call.  The two pendant kinds share one function, which _classes runs once.
 _KINDS = {
     "all": _Kind(None, None),
-    "pendant_count": _Kind(None, lambda g: len(pendant_vertices(g))),
+    "pendant_count": _Kind(None, _pendant_count),
     "cut_count": _Kind(None, lambda g: len(cut_vertices(g))),
     "tree": _Kind(-1, None),
-    "tree_with_pendants": _Kind(-1, lambda g: len(pendant_vertices(g))),
+    "tree_with_pendants": _Kind(-1, _pendant_count),
     "unicyclic": _Kind(0, None),
     "unicyclic_girth": _Kind(0, lambda g: girth(g)),
 }
@@ -100,14 +105,18 @@ def parse_constraint(text: str) -> ClassConstraint:
 def _classes(g: Graph, kinds: Iterable[str] = _KINDS) -> list[tuple[str, int | None]]:
     """The (kind, parameter) key of every class of the given kinds that g is in.
 
-    g is connected; only the parameters of the kinds asked for are computed.
+    g is connected; only the parameters of the kinds asked for are computed,
+    each once.
     """
     excess = g.edge_count - g.n
     keys = []
+    values: dict[Callable[[Graph], int | None] | None, int | None] = {None: None}
     for kind in kinds:
         needs, param = _KINDS[kind]
         if needs is None or needs == excess:
-            keys.append((kind, None if param is None else param(g)))
+            if param not in values:
+                values[param] = param(g)
+            keys.append((kind, values[param]))
     return keys
 
 

@@ -376,14 +376,6 @@ def cut_vertices(g: Graph) -> frozenset[int]:
     return _tarjan(g)[0]
 
 
-def _is_cut_vertex(adj: Sequence[int], v: int) -> bool:
-    """Whether deleting ``v`` disconnects the connected graph with rows ``adj``.
-
-    Needs at least two vertices: the search starts at a vertex other than v.
-    """
-    return _reach(adj, 1 if v == 0 else 0, 1 << v).bit_count() != len(adj) - 1
-
-
 def blocks(g: Graph) -> BlockDecomposition:
     """Biconnected components, cut vertices, and the block graph."""
     cut_set, raw_blocks = _tarjan(g)

@@ -1,15 +1,23 @@
 """Slow reference computations that only the tests use."""
 
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from totecc.canon import canon
-from totecc.enumeration import _extend
-from totecc.graph import DisconnectedGraphError, Graph, _is_cut_vertex, bfs_distances, is_connected
+from totecc.enumeration import Gens, _extend
+from totecc.graph import DisconnectedGraphError, Graph, _reach, bfs_distances, bits, is_connected
 
 
 def distance_matrix(g: Graph) -> tuple[tuple[int, ...], ...]:
     """All-pairs distances via one BFS per vertex."""
     return tuple(bfs_distances(g, v).dist for v in range(g.n))
+
+
+def _is_cut_vertex(adj: Sequence[int], v: int) -> bool:
+    """Whether deleting ``v`` disconnects the connected graph with rows ``adj``.
+
+    Needs at least two vertices: the search starts at a vertex other than v.
+    """
+    return _reach(adj, 1 if v == 0 else 0, 1 << v).bit_count() != len(adj) - 1
 
 
 def cut_vertices_by_deletion(g: Graph) -> frozenset[int]:
@@ -57,3 +65,60 @@ def labeled_graphs(n: int) -> Iterator[Graph]:
 def labeled_connected_count(n: int) -> int:
     """Count of connected labeled graphs by direct enumeration."""
     return sum(1 for g in labeled_graphs(n) if is_connected(g))
+
+
+def refine_by_buckets(adj: tuple[int, ...], cells: list[int], splitters: list[int]) -> list[int]:
+    """canon._refine as it was before it passed over cells far from the splitter."""
+    queue = list(splitters)
+    qi = 0
+    while qi < len(queue):
+        splitter = queue[qi]
+        qi += 1
+        out: list[int] = []
+        for cell in cells:
+            if cell.bit_count() == 1:
+                out.append(cell)
+                continue
+            buckets: dict[int, int] = {}
+            for v in bits(cell):
+                key = (adj[v] & splitter).bit_count()
+                buckets[key] = buckets.get(key, 0) | (1 << v)
+            if len(buckets) == 1:
+                out.append(cell)
+            else:
+                parts = [buckets[k] for k in sorted(buckets)]
+                out.extend(parts)
+                queue.extend(parts)
+        cells = out
+    return cells
+
+
+def _apply_to_mask(gamma: tuple[int, ...], mask: int) -> int:
+    out = 0
+    v = mask
+    while v:
+        low = v & -v
+        out |= 1 << gamma[low.bit_length() - 1]
+        v ^= low
+    return out
+
+
+def subset_orbit_reps_by_mask(k: int, gens: Gens) -> Iterator[int]:
+    """enumeration._subset_orbit_reps as it was, mapping each mask bit by bit."""
+    if not gens:
+        yield from range(1, 1 << k)
+        return
+    seen = bytearray(1 << k)
+    for mask in range(1, 1 << k):
+        if seen[mask]:
+            continue
+        yield mask
+        stack = [mask]
+        seen[mask] = 1
+        while stack:
+            m = stack.pop()
+            for gamma in gens:
+                im = _apply_to_mask(gamma, m)
+                if not seen[im]:
+                    seen[im] = 1
+                    stack.append(im)

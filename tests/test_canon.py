@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from oracles import labeled_graphs
+from oracles import labeled_graphs, refine_by_buckets
 from totecc import families
 from totecc.canon import (
     CanonResult,
@@ -203,10 +203,31 @@ def test_matches_rebuild_per_sibling_oracle():
         assert canon(h) == canon_rebuild_per_sibling(h)
 
 
+def test_search_refinements_match_oracle(monkeypatch):
+    # every refinement canon runs on the stream's graphs to n = 7, at the
+    # root and at each search node, gives the same ordered cells as
+    # bucketing every cell's vertices
+    graphs = [g for n in range(1, 8) for g in connected_graph_list(n)]
+    checked = []
+
+    def checking(adj, cells, splitters):
+        refined = _refine(adj, cells, splitters)
+        assert refined == refine_by_buckets(adj, cells, splitters), (adj, cells, splitters)
+        checked.append(splitters)
+        return refined
+
+    monkeypatch.setattr(canon_module, "_refine", checking)
+    for g in graphs:
+        canon(g)
+    # one root refinement for each of the 996 graphs, 4,588 at search nodes
+    assert len(checked) == 5584
+
+
 def test_union_find_work_pinned(monkeypatch):
     # connected_graphs(7) makes 506 canon calls, each with one orbit
     # union-find; search nodes add 1,356 more, where rebuilding one per
-    # sibling made 2,704 (3,210 and 45,505 unions in all)
+    # sibling made 2,704 (3,210 and 45,505 unions in all).  A generator's
+    # fixed points are not unioned
     calls = {"made": 0, "unions": 0}
 
     class Counting(_UnionFind):
@@ -220,4 +241,4 @@ def test_union_find_work_pinned(monkeypatch):
 
     monkeypatch.setattr(canon_module, "_UnionFind", Counting)
     assert sum(1 for _ in connected_graphs(7)) == 853
-    assert calls == {"made": 1862, "unions": 29114}
+    assert calls == {"made": 1862, "unions": 11280}

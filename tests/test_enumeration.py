@@ -9,9 +9,12 @@ import pytest
 from conftest import CONNECTED_COUNTS, RUN_N9, TREE_COUNTS
 from oracles import (
     connected_graphs_dedup,
+    cut_vertices_by_deletion,
     distance_matrix,
     labeled_connected_count,
     labeled_graphs,
+    refine_by_buckets,
+    subset_orbit_reps_by_mask,
 )
 from totecc import ClassConstraint, count_class, families, filter_graphs, parse_constraint
 from totecc import enumeration, extremal, graph, graph6, search
@@ -19,6 +22,8 @@ from totecc.canon import _refine, canon, canonical_form, canonical_graph
 from totecc.enumeration import (
     _accept,
     _extend,
+    _is_cut,
+    _parts,
     _subset_orbit_reps,
     connected_graph_list,
     connected_graphs,
@@ -143,8 +148,9 @@ def check_against_refine_oracle(max_order):
     """_accept and accept_by_refine agree on every candidate; returns how many."""
     tried = 0
     for parent, mask, child in candidates(max_order):
+        parts = _parts(parent)
         for last in (False, True):
-            assert _accept(child, last) == accept_by_refine(child, last), (parent, mask, last)
+            assert _accept(child, last, parts) == accept_by_refine(child, last), (parent, mask, last)
         tried += 1
     return tried
 
@@ -155,8 +161,9 @@ class TestAcceptTest:
         tried = prefiltered = shortcut = 0
         for parent, mask, child in candidates(6):
             expected, gens = accept_by_canon(child)
-            inner, inner_gens = _accept(child, last=False)
-            last, last_gens = _accept(child, last=True)
+            parts = _parts(parent)
+            inner, inner_gens = _accept(child, False, parts)
+            last, last_gens = _accept(child, True, parts)
             tried += 1
             assert inner == last == expected, (parent, mask)
             assert inner_gens in (None, gens) and last_gens in (None, gens)
@@ -193,10 +200,54 @@ class TestAcceptTest:
                 degrees += cell_degrees
             assert degrees == sorted(degrees), child
 
+    def test_cut_decision_matches_deletion_oracle(self):
+        # every candidate child of every stream parent of order <= 6, each
+        # vertex decided from the parent's components alone
+        tried = k2 = lone = 0
+        for parent, mask, child in candidates(6):
+            parts = _parts(parent)
+            cuts = {v for v in range(parent.n) if _is_cut(parts[v], mask)}
+            assert cuts == cut_vertices_by_deletion(child), (parent, mask)
+            tried += 1
+            k2 += parent.n == 1
+            lone += mask.bit_count() == 1 and parent.n > 1
+        assert tried == 4159
+        assert k2 == 1 and lone > 0
+
+    def test_parts_are_the_components_less_each_vertex(self):
+        for m in range(1, 8):
+            for g in connected_graph_list(m):
+                for v, comps in enumerate(_parts(g)):
+                    rest = (1 << m) - 1 ^ 1 << v
+                    union = 0
+                    for comp in comps:
+                        assert not comp & union and comp & rest == comp
+                        union |= comp
+                        u = comp.bit_length() - 1
+                        assert graph._reach(g.adj, u, 1 << v) == comp
+                    assert union == rest
+
+    def test_subset_orbit_reps_match_mask_oracle(self):
+        # the same masks in the same order, for every stream parent of order <= 7
+        for m in range(1, 8):
+            for parent in connected_graph_list(m):
+                gens = canon(parent).generators
+                assert list(_subset_orbit_reps(m, gens)) == list(
+                    subset_orbit_reps_by_mask(m, gens)
+                ), parent
+
+    def test_initial_refinement_matches_oracle(self):
+        # the ordered cells _accept (and canon, from them) start from
+        for _, _, child in candidates(6):
+            full = (1 << child.n) - 1
+            cells = _refine(child.adj, [full], [full])
+            assert cells == refine_by_buckets(child.adj, [full], [full]), child
+
     def test_accept_work_pinned(self, monkeypatch):
-        # n = 7 has 4,159 candidates; the degree test leaves 949 refinements,
-        # decided with 6,402 deletion searches and no Tarjan search
-        calls = {"_refine": 0, "_is_cut_vertex": 0, "_tarjan": 0}
+        # n = 7 has 4,159 candidates; the degree test leaves 949 refinements.
+        # The cut tests read the components of each of the 143 parents less
+        # each vertex, one search per component, and search no child
+        calls = {"_refine": 0, "_reach": 0, "_tarjan": 0}
 
         def counting(module, name):
             original = getattr(module, name)
@@ -208,19 +259,19 @@ class TestAcceptTest:
             monkeypatch.setattr(module, name, wrapper)
 
         counting(enumeration, "_refine")
-        counting(enumeration, "_is_cut_vertex")
+        counting(enumeration, "_reach")
         counting(graph, "_tarjan")
         assert sum(1 for _ in connected_graphs(7)) == 853
-        assert calls == {"_refine": 949, "_is_cut_vertex": 6402, "_tarjan": 0}
+        assert calls == {"_refine": 949, "_reach": 940, "_tarjan": 0}
 
     def test_canon_calls_pinned(self, monkeypatch):
         # canon on every candidate would be 4,159 calls; the pre-test and the
         # last-level shortcut leave 506, and dropping either changes the count
         calls = []
 
-        def counting(g):
-            calls.append(g)
-            return canon(g)
+        def counting(*args):
+            calls.append(args[0])
+            return canon(*args)
 
         monkeypatch.setattr(enumeration, "canon", counting)
         assert sum(1 for _ in connected_graphs(7)) == 853
@@ -446,6 +497,19 @@ class TestClasses:
 
         monkeypatch.setattr(extremal, "cut_vertices", counting)
         extremal._fold.__wrapped__(7)  # uncached, leaving the cache as it is
+        assert calls == list(connected_graph_list(7))
+
+    def test_fold_finds_pendants_once_per_graph(self, monkeypatch):
+        # a tree is in both pendant kinds, which share one pendant count
+        cached = extremal._fold(7)
+        calls = []
+
+        def counting(g):
+            calls.append(g)
+            return pendant_vertices(g)
+
+        monkeypatch.setattr(extremal, "pendant_vertices", counting)
+        assert extremal._fold.__wrapped__(7) == cached  # uncached, same buckets
         assert calls == list(connected_graph_list(7))
 
     def test_unicyclic_girth_filter(self):

@@ -1,14 +1,16 @@
-"""Verdicts and the n = 8 stream pinned byte for byte: stdout, stderr, exit code.
+"""Verdicts and the n = 8 and 9 streams pinned byte for byte: stdout, stderr, exit code.
 
 The verdict files under tests/golden/ were written by the CLI before the
-theorem statements became table rows, and enumerate_8.sha256 (the sha256
-of the stdout of ``totecc enumerate -n 8``) before the augmentation
-pre-test; any change to the verdict payloads, the stream's graphs or
-their order, or the exit codes shows up here.  To regenerate after an
+theorem statements became table rows, enumerate_8.sha256 (the sha256 of
+the stdout of ``totecc enumerate -n 8``) before the augmentation
+pre-test, and enumerate_9.sha256 before the per-parent cut tests.  Any
+change to the verdict payloads, the stream's graphs or their order, or
+the exit codes shows up here.  To regenerate after an
 intended change, run for example
 ``totecc verify --theorem all -n 3..8 --format json > verify_all_3_8.json``
 (stderr to ``.stderr``, exit code to ``.exit``), or
-``totecc enumerate -n 8 | sha256sum``.
+``totecc enumerate -n 8 | sha256sum``.  The n = 9 stream takes about a
+minute, so its test is opt-in: ``TOTECC_RUN_N9=1 pytest -m optin_n9``.
 """
 
 import hashlib
@@ -16,6 +18,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import RUN_N9
 from totecc.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -42,3 +45,13 @@ def test_enumerate_8_stream_matches_golden(capsys):
     assert digest == (GOLDEN / "enumerate_8.sha256").read_text().strip()
     assert captured.err == (GOLDEN / "enumerate_8.stderr").read_text()
     assert code == int((GOLDEN / "enumerate_8.exit").read_text())
+
+
+@pytest.mark.optin_n9
+@pytest.mark.skipif(not RUN_N9, reason="set TOTECC_RUN_N9=1 for order-9 runs")
+def test_enumerate_9_stream_matches_golden(capsys):
+    code = main(["enumerate", "-n", "9"])
+    captured = capsys.readouterr()
+    digest = hashlib.sha256(captured.out.encode()).hexdigest()
+    assert digest == (GOLDEN / "enumerate_9.sha256").read_text().strip()
+    assert code == 0
