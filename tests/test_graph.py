@@ -13,6 +13,7 @@ from totecc.graph import (
     UNREACHABLE,
     DisconnectedGraphError,
     Graph,
+    _bounded,
     _sweep,
     average_eccentricity,
     bfs_distances,
@@ -166,77 +167,91 @@ SPARSE_DEEP = {
     "double_broom": families.double_broom(1, 2, 197),
     "tadpole_p": families.tadpole_p(200, 100),
 }
-# Dense and deep at once: eccentricities takes per-source BFS on these.
+# Dense and deep at once: the sweep would take about n rounds of 2m ORs.
 DENSE_DEEP = {
     "clique100-path101": _clique_with_path(100, 101),
     "clique50-path151": _clique_with_path(50, 151),
     "clique150-path51": _clique_with_path(150, 51),
     "clique20-path21": _clique_with_path(20, 21),
 }
-# Dense or deep, not both: the sweep stays cheaper.
-SWEPT = {
+# Dense or deep, not both.
+DENSE_OR_DEEP = {
     "complete": families.complete(200),
     "kmn_balanced": families.kmn_balanced(200, 2),
     "clique20-path181": _clique_with_path(20, 181),
     "clique40-paths81": families.complete_with_paths(40, (81, 81) + (1,) * 38),
 }
+LARGE = {**SPARSE_DEEP, **DENSE_DEEP, **DENSE_OR_DEEP}
+# Where bounding does not pay: ecc(0) leaves complete and tadpole_p fewer
+# than three BFS, and cycle and kmn_balanced spend their budget, since every
+# cycle vertex and every clique vertex is central, and a central vertex's
+# bounds meet only at its own BFS.  Every other graph in LARGE is bounded to
+# the end with no call to the sweep.
+FALL_BACK = {"cycle", "tadpole_p", "complete", "kmn_balanced"}
+DISCONNECTED = {
+    "isolated": Graph.from_edges(3, [(0, 1)]),
+    "two-components": TWO_COMPONENTS,
+    # the path's balls keep growing for 99 rounds before they stall
+    "path100-plus-isolated": Graph.from_edges(101, [(i, i + 1) for i in range(99)]),
+    "two-no-edge": Graph(2, (0, 0)),
+    # dense enough that eccentricities runs the BFS from vertex 0 first
+    "clique50-plus-isolated": Graph.from_edges(
+        51, [(u, v) for u in range(50) for v in range(u + 1, 50)]
+    ),
+    # deep enough for the same, and the sweep would stall only after 197 rounds
+    "path199-plus-isolated": Graph.from_edges(200, [(i, i + 1) for i in range(198)]),
+}
+PROBED = ["clique50-plus-isolated", "path199-plus-isolated"]
 
 
 class TestEccentricitiesSweep:
-    """The all-sources sweep against per-source BFS, where it has many rounds."""
+    """Both kernels against per-source BFS, where the sweep has many rounds."""
 
-    @pytest.mark.parametrize(
-        "g",
-        [*SPARSE_DEEP.values(), *DENSE_DEEP.values(), *SWEPT.values()],
-        ids=[*SPARSE_DEEP, *DENSE_DEEP, *SWEPT],
-    )
+    @pytest.mark.parametrize("g", LARGE.values(), ids=LARGE)
     def test_matches_per_source_bfs(self, g):
         per_source = tuple(eccentricity(g, v) for v in range(g.n))
         assert _sweep(g.adj) == per_source
+        assert _bounded(g.adj) == per_source
         assert eccentricities(g) == per_source
 
-    @pytest.mark.parametrize(
-        "g, swept",
-        [
-            *((g, True) for g in SPARSE_DEEP.values()),
-            *((g, False) for g in DENSE_DEEP.values()),
-            *((g, True) for g in SWEPT.values()),
-        ],
-        ids=[*SPARSE_DEEP, *DENSE_DEEP, *SWEPT],
-    )
-    def test_route(self, g, swept, monkeypatch):
+    @pytest.mark.parametrize("name", LARGE, ids=LARGE)
+    def test_route(self, name, monkeypatch):
+        g = LARGE[name]
         calls = []
         monkeypatch.setattr(graph_module, "_sweep", lambda adj: calls.append(adj) or _sweep(adj))
         eccentricities(g)
-        assert calls == ([g.adj] if swept else [])
+        assert calls == ([g.adj] if name in FALL_BACK else [])
+
+    def test_small_graphs_skip_the_probe(self, monkeypatch):
+        # Even K12 leaves bounding too little budget to run the BFS from vertex 0.
+        calls = []
+        monkeypatch.setattr(graph_module, "_sweep", lambda adj: calls.append("sweep") or _sweep(adj))
+        monkeypatch.setattr(graph_module, "_bounded", lambda *args: calls.append("bounded"))
+        small = [families.complete(12), families.path(12), families.cycle(12), families.star(12)]
+        for g in small + [g for n in range(1, 8) for g in connected_graph_list(n)]:
+            calls.clear()
+            eccentricities(g)
+            assert calls == ["sweep"]
 
     def test_small_orders(self):
         assert eccentricities(Graph(1, (0,))) == (0,)
         assert eccentricities(families.path(2)) == (1, 1)
         assert eccentricities(families.path(3)) == (2, 1, 2)
+        assert _bounded(Graph(1, (0,)).adj) == (0,)
+        assert _bounded(families.path(3).adj) == (2, 1, 2)
 
-    @pytest.mark.parametrize(
-        "g",
-        [
-            Graph.from_edges(3, [(0, 1)]),  # an isolated vertex
-            TWO_COMPONENTS,
-            # the path's balls keep growing for 99 rounds before they stall
-            Graph.from_edges(101, [(i, i + 1) for i in range(99)]),
-            Graph(2, (0, 0)),
-            # dense enough that eccentricities runs the BFS from vertex 0 first
-            Graph.from_edges(51, [(u, v) for u in range(50) for v in range(u + 1, 50)]),
-        ],
-        ids=[
-            "isolated",
-            "two-components",
-            "path100-plus-isolated",
-            "two-no-edge",
-            "clique50-plus-isolated",
-        ],
-    )
+    @pytest.mark.parametrize("g", DISCONNECTED.values(), ids=DISCONNECTED)
     def test_disconnected_rejected(self, g):
         with pytest.raises(DisconnectedGraphError):
             _sweep(g.adj)
+        with pytest.raises(DisconnectedGraphError):
+            _bounded(g.adj)
+        with pytest.raises(DisconnectedGraphError):
+            eccentricities(g)
+
+    @pytest.mark.parametrize("g", [DISCONNECTED[k] for k in PROBED], ids=PROBED)
+    def test_probe_rejects_before_the_sweep(self, g, monkeypatch):
+        monkeypatch.setattr(graph_module, "_sweep", lambda adj: pytest.fail("sweep ran"))
         with pytest.raises(DisconnectedGraphError):
             eccentricities(g)
 

@@ -1,8 +1,19 @@
 """Property tests on random graphs drawn by hypothesis, connected or not."""
 
+import random
+
 import pytest
 
-from totecc.graph import DisconnectedGraphError, Graph, _sweep, eccentricities, eccentricity
+from totecc import graph6
+from totecc.graph import (
+    DisconnectedGraphError,
+    Graph,
+    _bounded,
+    _budget,
+    _sweep,
+    eccentricities,
+    eccentricity,
+)
 
 nx = pytest.importorskip("networkx")
 hypothesis = pytest.importorskip("hypothesis")
@@ -37,8 +48,62 @@ def test_eccentricities_match_per_source_and_networkx(g):
     h.add_nodes_from(range(g.n))
     h.add_edges_from(g.edges())
     sweep = _or_disconnected(lambda: _sweep(g.adj))
+    bounded = _or_disconnected(lambda: _bounded(g.adj))
     chosen = _or_disconnected(lambda: eccentricities(g))
     per_source = _or_disconnected(lambda: tuple(eccentricity(g, v) for v in range(g.n)))
     by_nx = _or_disconnected(lambda: tuple(e for _, e in sorted(nx.eccentricity(h).items())))
     hypothesis.event("disconnected" if sweep == "disconnected" else "connected")
-    assert sweep == chosen == per_source == by_nx
+    assert sweep == bounded == chosen == per_source == by_nx
+
+
+@st.composite
+def long_graphs(draw):
+    """80 <= n <= 200: a path, with or without its closing edge, plus up to 4 random chords.
+
+    Deep enough that ``eccentricities`` mostly runs the BFS from vertex 0,
+    then bounds to the end or hands over to the sweep, by the chords.
+    """
+    n = draw(st.integers(80, 200))
+    edges = {(v, v + 1) for v in range(n - 1)}
+    if draw(st.booleans()):
+        edges.add((0, n - 1))
+    vertex = st.integers(0, n - 1)
+    edges.update((u, v) for u, v in draw(st.lists(st.tuples(vertex, vertex), max_size=4)) if u != v)
+    return Graph.from_edges(n, edges)
+
+
+@hypothesis.settings(max_examples=60, deadline=None, database=None)
+@hypothesis.given(long_graphs())
+def test_eccentricities_of_long_graphs_match_per_source(g):
+    per_source = tuple(eccentricity(g, v) for v in range(g.n))
+    budgeted = _bounded(g.adj, 2 * g.edge_count)
+    if _budget(g.n, 2 * g.edge_count, g.n - 1) < 3:
+        hypothesis.event("no probe")
+    else:
+        hypothesis.event("handed to the sweep" if budgeted is None else "bounded to the end")
+    assert budgeted in (None, per_source)
+    assert eccentricities(g) == _bounded(g.adj) == per_source
+
+
+@st.composite
+def labelled_graphs(draw):
+    """Any simple graph with 1 <= n <= 200, on either side of graph6's size prefixes.
+
+    Orders up to 62 take the one-byte size, 63 and more the '~' form.  Each
+    pair is an edge with one drawn probability, from empty to complete.
+    """
+    n = draw(st.one_of(st.integers(1, 62), st.integers(63, 200)))
+    p = draw(st.sampled_from((0.0, 0.02, 0.3, 0.7, 1.0)))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    return Graph.from_edges(n, [(u, v) for v in range(n) for u in range(v) if rng.random() < p])
+
+
+@hypothesis.settings(max_examples=100, deadline=None, database=None)
+@hypothesis.given(labelled_graphs())
+def test_graph6_round_trips(g):
+    text = graph6.encode(g)
+    hypothesis.event("one-byte size" if g.n <= 62 else "'~' size")
+    assert text.startswith("~") == (g.n >= 63)
+    assert len(text) == (1 if g.n <= 62 else 4) + (g.n * (g.n - 1) // 2 + 5) // 6
+    assert graph6.decode(text) == g
+    assert graph6.encode(graph6.decode(text)) == text
