@@ -60,23 +60,16 @@ def _refine(adj: tuple[int, ...], cells: list[int], splitters: list[int]) -> lis
 
     Splits every multi-vertex cell by neighbor counts into the splitter
     masks, new sub-cells ordered by ascending count.  The procedure is
-    label-equivariant, which is all canonicity requires.  A cell with no
-    neighbor in the splitter has count 0 throughout and is passed over.
+    label-equivariant, which is all canonicity requires.
     """
     queue = list(splitters)
     qi = 0
     while qi < len(queue):
         splitter = queue[qi]
         qi += 1
-        near = 0
-        m = splitter
-        while m:
-            low = m & -m
-            near |= adj[low.bit_length() - 1]
-            m ^= low
         out: list[int] = []
         for cell in cells:
-            if not cell & near or cell.bit_count() == 1:
+            if cell.bit_count() == 1:
                 out.append(cell)
                 continue
             buckets: dict[int, int] = {}

@@ -43,7 +43,7 @@ from functools import lru_cache
 from typing import Iterator
 
 from .canon import _refine, canon
-from .graph import Graph, _reach, bits
+from .graph import Graph, bits, components_without
 
 #: Exhaustive enumeration cap; n = 10 (~11.7M classes) needs the explicit
 #: opt-in and realistically also parallel workers.
@@ -75,18 +75,7 @@ def _extend(g: Graph, mask: int) -> Graph:
 
 def _parts(g: Graph) -> Parts:
     """For each vertex v of g, the vertex masks of the components of g - v."""
-    adj = g.adj
-    full = (1 << g.n) - 1
-    parts = []
-    for v in range(g.n):
-        rest = full ^ 1 << v
-        comps = []
-        while rest:
-            comp = _reach(adj, (rest & -rest).bit_length() - 1, 1 << v)
-            comps.append(comp)
-            rest ^= comp
-        parts.append(tuple(comps))
-    return tuple(parts)
+    return tuple(components_without(g.adj, v) for v in range(g.n))
 
 
 def _is_cut(comps: tuple[int, ...], mask: int) -> bool:

@@ -177,6 +177,17 @@ def _reach(adj: Sequence[int], start: int, banned: int = 0) -> int:
     return seen
 
 
+def components_without(adj: Sequence[int], v: int) -> tuple[int, ...]:
+    """Vertex masks of the components of the graph less ``v``, ordered by least vertex."""
+    rest = ((1 << len(adj)) - 1) ^ 1 << v
+    comps = []
+    while rest:
+        comp = _reach(adj, (rest & -rest).bit_length() - 1, 1 << v)
+        comps.append(comp)
+        rest ^= comp
+    return tuple(comps)
+
+
 def is_connected(g: Graph) -> bool:
     return _reach(g.adj, 0) == (1 << g.n) - 1
 
@@ -498,12 +509,8 @@ def blocks(g: Graph) -> BlockDecomposition:
     cut_set, raw_blocks = _tarjan(g)
     block_list = tuple(sorted(raw_blocks, key=sorted))
     b = len(block_list)
-    bg_edges = [
-        (i, j)
-        for i in range(b)
-        for j in range(i + 1, b)
-        if any(w in cut_set for w in block_list[i] & block_list[j])
-    ]
+    # Two blocks share at most one vertex, and a shared vertex is a cut vertex.
+    bg_edges = [(i, j) for i in range(b) for j in range(i + 1, b) if block_list[i] & block_list[j]]
     block_graph = Graph.from_edges(b, bg_edges) if b else None
     return BlockDecomposition(block_list, cut_set, block_graph)
 

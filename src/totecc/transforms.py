@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .graph import Graph, _reach, bits, blocks, is_connected, without_edge
+from .graph import Graph, bits, blocks, components_without, is_connected
 
 
 class InvalidSiteError(ValueError):
@@ -176,17 +176,19 @@ def relocate_sites(g: Graph) -> list[RelocateSite]:
     if not is_connected(g):
         return sites
     for c in range(g.n):
-        comps = _components_without(g, c)
+        comps = components_without(g.adj, c)
         if len(comps) < 3:
             continue
         for pi, comp in enumerate(comps):
-            nbrs_in = sorted(set(bits(g.adj[c])) & comp)
-            if len(nbrs_in) != 1:
+            meet = g.adj[c] & comp
+            if meet & (meet - 1):
                 continue
-            p = _dangling_path(g, c, nbrs_in[0])
-            if p is None or set(p) != comp:
+            p = _dangling_path(g, c, meet.bit_length() - 1)
+            if p is None or _mask(p) != comp:
                 continue
-            others = [cc for ci, cc in enumerate(comps) if ci != pi]
+            # Built from sets: the order a side iterates in, which
+            # --list-sites prints, depends on how its frozenset was built.
+            others = [set(bits(cc)) for ci, cc in enumerate(comps) if ci != pi]
             # Unordered bipartitions of the other components into two
             # nonempty groups; pinning others[0] to the side avoids
             # emitting each split twice.
@@ -195,19 +197,6 @@ def relocate_sites(g: Graph) -> list[RelocateSite]:
                     side = frozenset(others[0]).union(*(others[i] for i in extra))
                     sites.append(RelocateSite(c, p, side))
     return sites
-
-
-def _components_without(g: Graph, v: int) -> list[set[int]]:
-    """Connected components of g - v, ordered by smallest member."""
-    banned = 1 << v
-    todo = ((1 << g.n) - 1) & ~banned
-    comps = []
-    while todo:
-        # each search starts at the lowest vertex not yet placed
-        seen = _reach(g.adj, (todo & -todo).bit_length() - 1, banned)
-        comps.append(set(bits(seen)))
-        todo &= ~seen
-    return comps
 
 
 def block_to_cycle(g: Graph, block_index: int) -> Graph:
@@ -428,48 +417,37 @@ def shrink_girth_to_3(g: Graph, site: ShrinkSite) -> Graph:
     _require(is_connected(g), "shrink site requires a connected graph")
     u, p = site.attach, site.pendant
     _require(g.has_edge(u, p), "attach vertex and pendant must be adjacent")
-    comps = _split_on_edge(g, u, p)
-    _require(comps is not None, "edge between host and tadpole must be a bridge")
-    host, tad = comps
-    _require(len(host) >= 2, "host side must keep at least 2 vertices")
+    tad = next(comp for comp in components_without(g.adj, u) if comp >> p & 1)
+    _require(g.adj[u] & tad == 1 << p, "edge between host and tadpole must be a bridge")
+    _require(g.n - tad.bit_count() >= 2, "host side must keep at least 2 vertices")
     order = _tadpole_order(g, tad, p)
     _require(order is not None, "component is not a path-form tadpole")
     walk, girth_len = order
     _require(girth_len >= 4, "tadpole girth must be at least 4")
     r = len(walk)
-    keep = [(a, b) for a, b in g.edges() if not (a in tad and b in tad)]
+    keep = [(a, b) for a, b in g.edges() if not (tad >> a & 1 and tad >> b & 1)]
     new = [(walk[i], walk[i + 1]) for i in range(r - 3)]
     new += [(walk[r - 3], walk[r - 2]), (walk[r - 2], walk[r - 1]), (walk[r - 1], walk[r - 3])]
     return Graph.from_edges(g.n, keep + new)
 
 
-def _split_on_edge(g: Graph, u: int, p: int) -> tuple[set[int], set[int]] | None:
-    """Components (host side of u, tadpole side of p) of g minus edge up."""
-    seen = _reach(without_edge(g.adj, u, p), p)
-    if seen >> u & 1:
-        return None
-    tad = set(bits(seen))
-    return set(range(g.n)) - tad, tad
-
-
-def _tadpole_order(g: Graph, tad: set[int], p: int) -> tuple[list[int], int] | None:
-    """Path-then-cycle vertex order of a tadpole component, or None."""
-    inside = _mask(tad)
-    deg = {v: (g.adj[v] & inside).bit_count() for v in tad}
+def _tadpole_order(g: Graph, tad: int, p: int) -> tuple[list[int], int] | None:
+    """Path-then-cycle vertex order of the tadpole component with mask ``tad``, or None."""
+    deg = {v: (g.adj[v] & tad).bit_count() for v in bits(tad)}
     edges_in = sum(deg.values()) // 2
-    if edges_in != len(tad) or deg[p] != 1:
+    if edges_in != tad.bit_count() or deg[p] != 1:
         return None
     walk = [p]
     prev, cur = None, p
     while deg[cur] <= 2:
-        nbrs = [x for x in bits(g.adj[cur] & inside) if x != prev]
+        nbrs = [x for x in bits(g.adj[cur] & tad) if x != prev]
         if len(nbrs) != 1:
             return None
         prev, cur = cur, nbrs[0]
         walk.append(cur)
     if deg[cur] != 3:
         return None
-    ring = set(tad) - set(walk[:-1])
+    ring = set(bits(tad)) - set(walk[:-1])
     if not all(deg[v] == 2 for v in ring - {cur}):
         return None
     ring_order = _cycle_walk(g, frozenset(ring), cur)
@@ -483,12 +461,15 @@ def shrink_sites(g: Graph) -> list[ShrinkSite]:
     if not is_connected(g):
         return []
     sites = []
-    for u, v in g.edges():
-        for attach, pend in ((u, v), (v, u)):
-            comps = _split_on_edge(g, attach, pend)
-            if comps is None or len(comps[0]) < 2:
+    # The tadpole is a component of g - attach that attach meets in one
+    # neighbour, the pendant: the edge between them is then a bridge.
+    for attach in range(g.n):
+        for tad in components_without(g.adj, attach):
+            meet = g.adj[attach] & tad
+            if meet & (meet - 1) or g.n - tad.bit_count() < 2:
                 continue
-            order = _tadpole_order(g, comps[1], pend)
+            pend = meet.bit_length() - 1
+            order = _tadpole_order(g, tad, pend)
             if order is not None and order[1] >= 4:
                 sites.append(ShrinkSite(attach, pend))
     return sorted(sites, key=lambda s: (s.attach, s.pendant))

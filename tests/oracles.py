@@ -1,10 +1,27 @@
 """Slow reference computations that only the tests use."""
 
+from itertools import combinations
 from typing import Iterator, Sequence
 
 from totecc.canon import canon
 from totecc.enumeration import Gens, _extend
-from totecc.graph import DisconnectedGraphError, Graph, _reach, bfs_distances, bits, is_connected
+from totecc.graph import (
+    DisconnectedGraphError,
+    Graph,
+    _reach,
+    bfs_distances,
+    bits,
+    is_connected,
+    without_edge,
+)
+from totecc.transforms import (
+    RelocateSite,
+    ShrinkSite,
+    _cycle_walk,
+    _dangling_path,
+    _mask,
+    _require,
+)
 
 
 def distance_matrix(g: Graph) -> tuple[tuple[int, ...], ...]:
@@ -68,7 +85,7 @@ def labeled_connected_count(n: int) -> int:
 
 
 def refine_by_buckets(adj: tuple[int, ...], cells: list[int], splitters: list[int]) -> list[int]:
-    """canon._refine as it was before it passed over cells far from the splitter."""
+    """canon._refine written plainly, with bits() for its inlined loop."""
     queue = list(splitters)
     qi = 0
     while qi < len(queue):
@@ -122,3 +139,114 @@ def subset_orbit_reps_by_mask(k: int, gens: Gens) -> Iterator[int]:
                 if not seen[im]:
                     seen[im] = 1
                     stack.append(im)
+
+
+def relocate_sites_by_sets(g: Graph) -> list[RelocateSite]:
+    """transforms.relocate_sites as it was, over set-valued components."""
+    sites: list[RelocateSite] = []
+    if not is_connected(g):
+        return sites
+    for c in range(g.n):
+        comps = _components_without(g, c)
+        if len(comps) < 3:
+            continue
+        for pi, comp in enumerate(comps):
+            nbrs_in = sorted(set(bits(g.adj[c])) & comp)
+            if len(nbrs_in) != 1:
+                continue
+            p = _dangling_path(g, c, nbrs_in[0])
+            if p is None or set(p) != comp:
+                continue
+            others = [cc for ci, cc in enumerate(comps) if ci != pi]
+            # Unordered bipartitions of the other components into two
+            # nonempty groups; pinning others[0] to the side avoids
+            # emitting each split twice.
+            for extra_count in range(len(others) - 1):
+                for extra in combinations(range(1, len(others)), extra_count):
+                    side = frozenset(others[0]).union(*(others[i] for i in extra))
+                    sites.append(RelocateSite(c, p, side))
+    return sites
+
+
+def _components_without(g: Graph, v: int) -> list[set[int]]:
+    """Connected components of g - v, ordered by smallest member."""
+    banned = 1 << v
+    todo = ((1 << g.n) - 1) & ~banned
+    comps = []
+    while todo:
+        # each search starts at the lowest vertex not yet placed
+        seen = _reach(g.adj, (todo & -todo).bit_length() - 1, banned)
+        comps.append(set(bits(seen)))
+        todo &= ~seen
+    return comps
+
+
+def shrink_girth_to_3_by_edge(g: Graph, site: ShrinkSite) -> Graph:
+    """transforms.shrink_girth_to_3 as it was, splitting g on the edge."""
+    _require(is_connected(g), "shrink site requires a connected graph")
+    u, p = site.attach, site.pendant
+    _require(g.has_edge(u, p), "attach vertex and pendant must be adjacent")
+    comps = _split_on_edge(g, u, p)
+    _require(comps is not None, "edge between host and tadpole must be a bridge")
+    host, tad = comps
+    _require(len(host) >= 2, "host side must keep at least 2 vertices")
+    order = _tadpole_order_by_sets(g, tad, p)
+    _require(order is not None, "component is not a path-form tadpole")
+    walk, girth_len = order
+    _require(girth_len >= 4, "tadpole girth must be at least 4")
+    r = len(walk)
+    keep = [(a, b) for a, b in g.edges() if not (a in tad and b in tad)]
+    new = [(walk[i], walk[i + 1]) for i in range(r - 3)]
+    new += [(walk[r - 3], walk[r - 2]), (walk[r - 2], walk[r - 1]), (walk[r - 1], walk[r - 3])]
+    return Graph.from_edges(g.n, keep + new)
+
+
+def _split_on_edge(g: Graph, u: int, p: int) -> tuple[set[int], set[int]] | None:
+    """Components (host side of u, tadpole side of p) of g minus edge up."""
+    seen = _reach(without_edge(g.adj, u, p), p)
+    if seen >> u & 1:
+        return None
+    tad = set(bits(seen))
+    return set(range(g.n)) - tad, tad
+
+
+def _tadpole_order_by_sets(g: Graph, tad: set[int], p: int) -> tuple[list[int], int] | None:
+    """Path-then-cycle vertex order of a tadpole component, or None."""
+    inside = _mask(tad)
+    deg = {v: (g.adj[v] & inside).bit_count() for v in tad}
+    edges_in = sum(deg.values()) // 2
+    if edges_in != len(tad) or deg[p] != 1:
+        return None
+    walk = [p]
+    prev, cur = None, p
+    while deg[cur] <= 2:
+        nbrs = [x for x in bits(g.adj[cur] & inside) if x != prev]
+        if len(nbrs) != 1:
+            return None
+        prev, cur = cur, nbrs[0]
+        walk.append(cur)
+    if deg[cur] != 3:
+        return None
+    ring = set(tad) - set(walk[:-1])
+    if not all(deg[v] == 2 for v in ring - {cur}):
+        return None
+    ring_order = _cycle_walk(g, frozenset(ring), cur)
+    if len(ring_order) != len(ring):
+        return None
+    return walk[:-1] + ring_order, len(ring)
+
+
+def shrink_sites_by_edge(g: Graph) -> list[ShrinkSite]:
+    """transforms.shrink_sites as it was: both ends of every edge, one bridge test each."""
+    if not is_connected(g):
+        return []
+    sites = []
+    for u, v in g.edges():
+        for attach, pend in ((u, v), (v, u)):
+            comps = _split_on_edge(g, attach, pend)
+            if comps is None or len(comps[0]) < 2:
+                continue
+            order = _tadpole_order_by_sets(g, comps[1], pend)
+            if order is not None and order[1] >= 4:
+                sites.append(ShrinkSite(attach, pend))
+    return sorted(sites, key=lambda s: (s.attach, s.pendant))

@@ -259,7 +259,7 @@ class TestAcceptTest:
             monkeypatch.setattr(module, name, wrapper)
 
         counting(enumeration, "_refine")
-        counting(enumeration, "_reach")
+        counting(graph, "_reach")
         counting(graph, "_tarjan")
         assert sum(1 for _ in connected_graphs(7)) == 853
         assert calls == {"_refine": 949, "_reach": 940, "_tarjan": 0}

@@ -98,9 +98,9 @@ class TestSpiders:
 
 
 def _components_minus_hub(g, hub):
-    from totecc.transforms import _components_without
+    from totecc.graph import bits, components_without
 
-    return _components_without(g, hub)
+    return [set(bits(comp)) for comp in components_without(g.adj, hub)]
 
 
 class TestTadpoles:

@@ -16,6 +16,7 @@ from conftest import (
     random_connected_graph,
     random_tree,
 )
+from oracles import relocate_sites_by_sets, shrink_girth_to_3_by_edge, shrink_sites_by_edge
 from totecc import families, transforms
 from totecc.canon import canonical_form
 from totecc.graph import Graph, eccentricities, is_connected, total_eccentricity
@@ -434,3 +435,43 @@ def test_rewrites_never_mutate_input():
     balance_paths(g, BalanceSite((0, 1, 2), 0, 2))
     add_edge(g, 4, 6)
     assert g == snapshot
+
+
+def _lister_inputs():
+    """The conftest builders' graphs and random connected graphs, n <= 12."""
+    rng = random.Random(1201)
+    for _ in range(60):
+        base = random_connected_graph(rng, rng.randrange(2, 5), rng.randrange(0, 3))
+        hub = rng.randrange(base.n)
+        yield attach_paths(base, hub, rng.randrange(1, 4), rng.randrange(1, 4))[0]
+        yield attach_cycles(base, hub, rng.randrange(3, 5), rng.randrange(3, 5))[0]
+        girth = rng.randrange(3, 7)
+        yield attach_tadpole(base, hub, girth + rng.randrange(1, 3), girth)[0]
+        yield glue_relocate(rng.randrange(2, 5), rng.randrange(2, 5), rng.randrange(2, 5), rng)[0]
+    for _ in range(300):
+        n = rng.randrange(1, 13)
+        yield random_connected_graph(rng, n, rng.randrange(0, n))
+    yield Graph.from_edges(4, [(0, 1), (2, 3)])
+
+
+def test_listers_match_set_and_edge_oracles():
+    # the CLI prints repr(site), so the sites must agree down to the
+    # iteration order of every side's frozenset
+    for g in _lister_inputs():
+        sites, expected = relocate_sites(g), relocate_sites_by_sets(g)
+        assert repr(sites) == repr(expected), g
+        for site, old in zip(sites, expected):
+            assert relocate_path(g, site) == relocate_path(g, old), g
+        assert repr(shrink_sites(g)) == repr(shrink_sites_by_edge(g)), g
+        if not is_connected(g):
+            continue
+        # every ordered edge as a site, valid or not: the same graph or error
+        for u, v in g.edges():
+            for site in (ShrinkSite(u, v), ShrinkSite(v, u)):
+                try:
+                    expected = shrink_girth_to_3_by_edge(g, site)
+                except InvalidSiteError as exc:
+                    with pytest.raises(InvalidSiteError, match=f"^{exc}$"):
+                        shrink_girth_to_3(g, site)
+                else:
+                    assert shrink_girth_to_3(g, site) == expected, (g, site)
