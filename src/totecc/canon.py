@@ -59,15 +59,34 @@ def _refine(adj: tuple[int, ...], cells: list[int], splitters: list[int]) -> lis
     """Equitable refinement of an ordered partition (1-dim WL).
 
     Splits every multi-vertex cell by neighbor counts into the splitter
-    masks, new sub-cells ordered by ascending count.  The procedure is
+    masks (nonempty vertex sets), new sub-cells ordered by ascending
+    count and queued as splitters in turn.  The procedure is
     label-equivariant, which is all canonicity requires.
+
+    Two shortcuts leave the output as it would be without them.  A
+    discrete partition cannot split, so refinement stops once every cell
+    is a singleton.  A singleton splitter {w} counts 0 or 1 into each
+    vertex, so it splits a cell into its non-neighbors and neighbors of
+    w, in that order, with no loop over the cell's vertices.
     """
+    n = len(adj)
     queue = list(splitters)
     qi = 0
-    while qi < len(queue):
+    while qi < len(queue) and len(cells) < n:
         splitter = queue[qi]
         qi += 1
         out: list[int] = []
+        if splitter & (splitter - 1) == 0:
+            near = adj[splitter.bit_length() - 1]
+            for cell in cells:
+                hit = cell & near
+                if hit and hit != cell:
+                    out += (cell ^ hit, hit)
+                    queue += (cell ^ hit, hit)
+                else:
+                    out.append(cell)
+            cells = out
+            continue
         for cell in cells:
             if cell.bit_count() == 1:
                 out.append(cell)
@@ -184,7 +203,11 @@ def canon(g: Graph, initial: list[int] | None = None) -> CanonResult:
                     child.append(cell ^ vbit)
                 else:
                     child.append(cell)
-            refined = _refine(adj, child, [vbit, target ^ vbit])
+            # {v} is the only splitter.  ``cells`` came out of _refine, so
+            # it is equitable: every cell counts constantly into target,
+            # and after the {v} pass into target - v as well, so the
+            # splitter target - v would split nothing.
+            refined = _refine(adj, child, [vbit])
             path.append(v)
             search(refined, path)
             path.pop()

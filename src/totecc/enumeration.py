@@ -16,17 +16,21 @@ order.  Subtrees processed apart and joined in root order give the
 stream exactly.
 
 Most children are decided without the canon search tree (McKay, J.
-Algorithms 26, 1998).  The deletion vertex and its whole orbit lie in
-the non-cut part of the last cell of the child's initial equitable
-partition that holds a non-cut vertex, and a child whose new vertex lies
-outside it is rejected.  That partition is ordered by ascending degree,
-so the cell lies in the highest degree class holding a non-cut vertex:
-most children are decided from degrees alone, and the refinement runs
-only when another non-cut vertex shares the new vertex's degree; canon
-then starts from that refinement.  No cut test searches a child: each
-parent lists once the components of itself less each vertex, and a
-parent vertex is a cut vertex of a child iff the new vertex's neighbors
-miss one of its components.  When that part is the new vertex alone the
+Algorithms 26, 1998), and most before they are built.  The deletion
+vertex and its whole orbit lie in the non-cut part of the last cell of
+the child's initial equitable partition that holds a non-cut vertex, and
+a child whose new vertex lies outside it is rejected.  That partition is
+ordered by ascending degree, so the cell lies in the highest degree
+class holding a non-cut vertex: most children are decided from degrees
+alone, which the parent's degrees and the neighbor mask M give, and the
+child is built and refined only when another non-cut vertex shares the
+new vertex's degree |M|; canon then starts from that refinement.  No cut
+test searches a child: each parent lists once the components of itself
+less each vertex, and a parent vertex is a cut vertex of a child iff M
+misses one of its components.  So with |M| >= 2 a non-cut vertex of the
+parent stays non-cut in the child, and its degree does not drop: a mask
+with 1 < |M| < D, where D is the largest degree of a non-cut parent
+vertex, is never tried.  When that part is the new vertex alone the
 child is accepted outright, and canon runs only if the child's
 automorphism generators are still needed to extend it: a child of the
 requested final order is emitted without them.  _accept holds the
@@ -87,10 +91,16 @@ def _is_cut(comps: tuple[int, ...], mask: int) -> bool:
     return not all(comp & mask for comp in comps)
 
 
-def _subset_orbit_reps(k: int, gens: Gens) -> Iterator[int]:
-    """One nonempty neighbor subset per orbit of the parent's automorphisms."""
+def _subset_orbit_reps(k: int, gens: Gens, low: int) -> Iterator[int]:
+    """One nonempty neighbor subset per orbit of the parent's automorphisms.
+
+    Masks M with 1 < |M| < ``low`` are skipped.  Automorphisms keep |M|,
+    so whole orbits drop out and the masks left come in the same order.
+    """
     if not gens:
-        yield from range(1, 1 << k)
+        for mask in range(1, 1 << k):
+            if not 1 < mask.bit_count() < low:
+                yield mask
         return
     # images[i][m] is the image of mask m under gens[i]; the masks with
     # highest bit j are those below 1 << j with j's image added.
@@ -103,7 +113,7 @@ def _subset_orbit_reps(k: int, gens: Gens) -> Iterator[int]:
         images.append(img)
     seen = bytearray(1 << k)
     for mask in range(1, 1 << k):
-        if seen[mask]:
+        if seen[mask] or 1 < mask.bit_count() < low:
             continue
         yield mask
         stack = [mask]
@@ -117,12 +127,16 @@ def _subset_orbit_reps(k: int, gens: Gens) -> Iterator[int]:
                     stack.append(im)
 
 
-def _accept(child: Graph, last: bool, parts: Parts) -> tuple[bool, Gens | None]:
-    """The canonical-deletion test for ``child``, whose new vertex is its last.
+def _accept(
+    g: Graph, deg: list[int], parts: Parts, mask: int, last: bool
+) -> tuple[Graph | None, Gens | None]:
+    """The canonical-deletion test for the child of g joined to ``mask``.
 
-    ``parts`` is ``_parts`` of the parent, the child less its new vertex.
-    Returns whether the child is accepted, and the automorphism generators
-    canon found for it, or None where canon did not run.
+    ``deg`` and ``parts`` are g's degrees and ``_parts(g)``; the child's
+    new vertex k = g.n is its last.  Returns the child, or None if it is
+    rejected, and the automorphism generators canon found for it, or None
+    where canon did not run.  The child is built only once the degree
+    step below has passed it.
 
     The pre-test is sound because canon starts from the partition
     ``_refine(adj, [full], [full])`` and only ever splits cells in place:
@@ -144,51 +158,60 @@ def _accept(child: Graph, last: bool, parts: Parts) -> tuple[bool, Gens | None]:
     cells.  The last cell holding a non-cut vertex therefore lies in the
     highest degree class holding one.  The new vertex k is never a cut
     vertex, since its parent is connected, so that class has degree at
-    least deg(k).  A non-cut vertex of higher degree puts ``cand`` above
-    k's class, and the child is rejected.  Otherwise, if k is the only
-    non-cut vertex of its degree, ``cand`` is k alone; only when it is not
-    does the refinement run, to find the last cell of that class with a
-    non-cut vertex, and canon starts from that same refinement.
+    least deg(k) = |M|.  A non-cut vertex of higher degree puts ``cand``
+    above k's class, and the child is rejected.  Otherwise, if k is the
+    only non-cut vertex of its degree, ``cand`` is k alone; only when it
+    is not does the refinement run, to find the last cell of that class
+    with a non-cut vertex, and canon starts from that same refinement.
+    A parent vertex v has degree deg[v] in the child, plus one if v is in
+    M, so this whole step reads the parent.
 
     No cut test searches the child.  The child less a parent vertex v is
-    parent - v plus k, and k is joined to the components of parent - v
-    that meet its neighbor mask M.  So v is a cut vertex of the child iff
-    some component of parent - v misses M; when every one meets M, M holds
-    more than v and k is joined too.  With M == {v} every component misses
-    M and k is cut off, except below the parent K1: K1 - v has no
-    component, and the child K2 has no cut vertex.
+    g - v plus k, and k is joined to the components of g - v that meet M.
+    So v is a cut vertex of the child iff some component of g - v misses
+    M; when every one meets M, M holds more than v and k is joined too.
+    With M == {v} every component misses M and k is cut off, except below
+    the parent K1: K1 - v has no component, and the child K2 has no cut
+    vertex.
+
+    This bounds |M| before any test (``_grow`` passes the bound to
+    ``_subset_orbit_reps``).  Let v be a non-cut vertex of g, so g - v has
+    at most one component.  If |M| >= 2, M meets g - v, so v is not cut
+    in the child either, and its degree there is at least deg[v].  A mask
+    with 1 < |M| < deg[v] is therefore always rejected.  If |M| == 1, the
+    one vertex u in M becomes a cut vertex of the child (k hangs from it)
+    unless g is K1, so the bound does not hold for u, and size-1 masks all
+    reach the degree step.
     """
-    n = child.n
-    k = n - 1
-    adj = child.adj
-    mask = adj[k]
-    deg = [row.bit_count() for row in adj]
-    dk = deg[k]
+    k = g.n
+    dk = mask.bit_count()
     noncut = 1 << k
     for v in range(k):
-        if deg[v] >= dk and not _is_cut(parts[v], mask):
-            if deg[v] > dk:
-                return False, None
+        dv = deg[v] + (mask >> v & 1)
+        if dv >= dk and not _is_cut(parts[v], mask):
+            if dv > dk:
+                return None, None
             noncut |= 1 << v
+    child = _extend(g, mask)
     cand = noncut
     initial = None
     if noncut != 1 << k:
-        full = (1 << n) - 1
-        initial = _refine(adj, [full], [full])
+        full = (1 << k + 1) - 1
+        initial = _refine(child.adj, [full], [full])
         for cell in reversed(initial):
             cand = cell & noncut
             if cand:
                 break
         if not cand >> k & 1:
-            return False, None
+            return None, None
     if last and cand == 1 << k:
-        return True, None
+        return child, None
     res = canon(child, initial)
-    pos = [0] * n
+    pos = [0] * (k + 1)
     for i, v in enumerate(res.labeling):
         pos[v] = i
     deletion = max(bits(cand), key=pos.__getitem__)
-    return res.orbits[k] == res.orbits[deletion], res.generators
+    return (child if res.orbits[k] == res.orbits[deletion] else None), res.generators
 
 
 def _grow(g: Graph, gens: Gens | None, level: int, n: int) -> Iterator[Root]:
@@ -202,10 +225,13 @@ def _grow(g: Graph, gens: Gens | None, level: int, n: int) -> Iterator[Root]:
         yield g, gens
         return
     parts = _parts(g)
-    for mask in _subset_orbit_reps(g.n, gens):
-        child = _extend(g, mask)
-        accepted, child_gens = _accept(child, g.n + 1 == n, parts)
-        if accepted:
+    deg = [row.bit_count() for row in g.adj]
+    # the largest degree of a non-cut vertex bounds |M| (see _accept)
+    low = max(d for d, comps in zip(deg, parts) if len(comps) <= 1)
+    last = g.n + 1 == n
+    for mask in _subset_orbit_reps(g.n, gens, low):
+        child, child_gens = _accept(g, deg, parts, mask, last)
+        if child is not None:
             yield from _grow(child, child_gens, level, n)
 
 

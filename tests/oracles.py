@@ -4,7 +4,7 @@ from itertools import combinations
 from typing import Iterator, Sequence
 
 from totecc.canon import canon
-from totecc.enumeration import Gens, _extend
+from totecc.enumeration import Gens, Parts, _extend, _is_cut
 from totecc.graph import (
     DisconnectedGraphError,
     Graph,
@@ -84,8 +84,8 @@ def labeled_connected_count(n: int) -> int:
     return sum(1 for g in labeled_graphs(n) if is_connected(g))
 
 
-def refine_by_buckets(adj: tuple[int, ...], cells: list[int], splitters: list[int]) -> list[int]:
-    """canon._refine written plainly, with bits() for its inlined loop."""
+def refine_reference(adj: tuple[int, ...], cells: list[int], splitters: list[int]) -> list[int]:
+    """canon._refine without its shortcuts: every pass buckets every multi-vertex cell."""
     queue = list(splitters)
     qi = 0
     while qi < len(queue):
@@ -108,6 +108,47 @@ def refine_by_buckets(adj: tuple[int, ...], cells: list[int], splitters: list[in
                 queue.extend(parts)
         cells = out
     return cells
+
+
+def accept_reference(child: Graph, last: bool, parts: Parts) -> tuple[bool, Gens | None]:
+    """enumeration._accept as it was: the degree step read from the built child.
+
+    ``parts`` is ``enumeration._parts`` of the parent, the child less its
+    new vertex, which is the child's last.  Returns whether the child is
+    accepted, and the generators canon found for it, or None where canon
+    did not run.
+    """
+    n = child.n
+    k = n - 1
+    adj = child.adj
+    mask = adj[k]
+    deg = [row.bit_count() for row in adj]
+    dk = deg[k]
+    noncut = 1 << k
+    for v in range(k):
+        if deg[v] >= dk and not _is_cut(parts[v], mask):
+            if deg[v] > dk:
+                return False, None
+            noncut |= 1 << v
+    cand = noncut
+    initial = None
+    if noncut != 1 << k:
+        full = (1 << n) - 1
+        initial = refine_reference(adj, [full], [full])
+        for cell in reversed(initial):
+            cand = cell & noncut
+            if cand:
+                break
+        if not cand >> k & 1:
+            return False, None
+    if last and cand == 1 << k:
+        return True, None
+    res = canon(child, initial)
+    pos = [0] * n
+    for i, v in enumerate(res.labeling):
+        pos[v] = i
+    deletion = max(bits(cand), key=pos.__getitem__)
+    return res.orbits[k] == res.orbits[deletion], res.generators
 
 
 def _apply_to_mask(gamma: tuple[int, ...], mask: int) -> int:

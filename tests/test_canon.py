@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from oracles import labeled_graphs, refine_by_buckets
+from oracles import labeled_graphs, refine_reference
 from totecc import families
 from totecc.canon import (
     CanonResult,
@@ -212,7 +212,7 @@ def test_search_refinements_match_oracle(monkeypatch):
 
     def checking(adj, cells, splitters):
         refined = _refine(adj, cells, splitters)
-        assert refined == refine_by_buckets(adj, cells, splitters), (adj, cells, splitters)
+        assert refined == refine_reference(adj, cells, splitters), (adj, cells, splitters)
         checked.append(splitters)
         return refined
 

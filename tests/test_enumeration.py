@@ -8,12 +8,13 @@ import pytest
 
 from conftest import CONNECTED_COUNTS, RUN_N9, TREE_COUNTS
 from oracles import (
+    accept_reference,
     connected_graphs_dedup,
     cut_vertices_by_deletion,
     distance_matrix,
     labeled_connected_count,
     labeled_graphs,
-    refine_by_buckets,
+    refine_reference,
     subset_orbit_reps_by_mask,
 )
 from totecc import ClassConstraint, count_class, families, filter_graphs, parse_constraint
@@ -94,13 +95,27 @@ class TestStream:
 def candidates(max_order):
     """Every candidate child the stream tries below parents of order <= max_order.
 
-    One neighbor subset per orbit of each parent's automorphisms, as the
-    stream tries them; yields (parent, mask, child).
+    One neighbor subset per orbit of each parent's automorphisms, with no
+    mask-size bound; yields (parent, mask, child).
     """
     for m in range(1, max_order + 1):
         for parent in connected_graph_list(m):
-            for mask in _subset_orbit_reps(m, canon(parent).generators):
+            for mask in _subset_orbit_reps(m, canon(parent).generators, 0):
                 yield parent, mask, _extend(parent, mask)
+
+
+def size_bound(parent, parts):
+    """The largest degree of a non-cut vertex of ``parent``, as _grow finds it."""
+    return max(parent.degree(v) for v in range(parent.n) if len(parts[v]) <= 1)
+
+
+def decide(parent, mask, last, parts):
+    """_accept on the parent's side, as (accepted, generators) like the oracles."""
+    deg = [parent.degree(v) for v in range(parent.n)]
+    child, gens = _accept(parent, deg, parts, mask, last)
+    if child is not None:
+        assert child == _extend(parent, mask)
+    return child is not None, gens
 
 
 def accept_by_canon(child):
@@ -150,7 +165,11 @@ def check_against_refine_oracle(max_order):
     for parent, mask, child in candidates(max_order):
         parts = _parts(parent)
         for last in (False, True):
-            assert _accept(child, last, parts) == accept_by_refine(child, last), (parent, mask, last)
+            assert decide(parent, mask, last, parts) == accept_by_refine(child, last), (
+                parent,
+                mask,
+                last,
+            )
         tried += 1
     return tried
 
@@ -162,8 +181,8 @@ class TestAcceptTest:
         for parent, mask, child in candidates(6):
             expected, gens = accept_by_canon(child)
             parts = _parts(parent)
-            inner, inner_gens = _accept(child, False, parts)
-            last, last_gens = _accept(child, True, parts)
+            inner, inner_gens = decide(parent, mask, False, parts)
+            last, last_gens = decide(parent, mask, True, parts)
             tried += 1
             assert inner == last == expected, (parent, mask)
             assert inner_gens in (None, gens) and last_gens in (None, gens)
@@ -186,6 +205,22 @@ class TestAcceptTest:
     @pytest.mark.skipif(not RUN_N9, reason="set TOTECC_RUN_N9=1 for order-9 runs")
     def test_matches_refine_oracle_n8(self):
         assert check_against_refine_oracle(7) == 71300
+
+    def test_parent_side_decision_matches_reference(self):
+        # _accept decides from the parent's degrees and components what the
+        # old test decided from the built child, and the mask-size bound
+        # only skips masks that test rejects
+        tried = skipped = 0
+        for parent, mask, child in candidates(6):
+            parts = _parts(parent)
+            bounded = 1 < mask.bit_count() < size_bound(parent, parts)
+            for last in (False, True):
+                expected = accept_reference(child, last, parts)
+                assert decide(parent, mask, last, parts) == expected, (parent, mask, last)
+                assert not (bounded and expected[0]), (parent, mask)
+            tried += 1
+            skipped += bounded
+        assert (tried, skipped) == (4159, 1442)
 
     def test_initial_cells_ascend_by_degree(self):
         # _accept reads cand's degree class before any refinement: it relies
@@ -228,26 +263,31 @@ class TestAcceptTest:
                     assert union == rest
 
     def test_subset_orbit_reps_match_mask_oracle(self):
-        # the same masks in the same order, for every stream parent of order <= 7
+        # the same masks in the same order, less those with 1 < |M| < low,
+        # for every stream parent of order <= 7 and every bound
         for m in range(1, 8):
             for parent in connected_graph_list(m):
                 gens = canon(parent).generators
-                assert list(_subset_orbit_reps(m, gens)) == list(
-                    subset_orbit_reps_by_mask(m, gens)
-                ), parent
+                reps = list(subset_orbit_reps_by_mask(m, gens))
+                # bounds 0 to 2 skip nothing
+                for low in (0, *range(3, m + 2)):
+                    kept = [mask for mask in reps if not 1 < mask.bit_count() < low]
+                    assert list(_subset_orbit_reps(m, gens, low)) == kept, (parent, low)
 
     def test_initial_refinement_matches_oracle(self):
         # the ordered cells _accept (and canon, from them) start from
         for _, _, child in candidates(6):
             full = (1 << child.n) - 1
             cells = _refine(child.adj, [full], [full])
-            assert cells == refine_by_buckets(child.adj, [full], [full]), child
+            assert cells == refine_reference(child.adj, [full], [full]), child
 
     def test_accept_work_pinned(self, monkeypatch):
-        # n = 7 has 4,159 candidates; the degree test leaves 949 refinements.
-        # The cut tests read the components of each of the 143 parents less
-        # each vertex, one search per component, and search no child
-        calls = {"_refine": 0, "_reach": 0, "_tarjan": 0}
+        # n = 7 has 4,159 candidates; the mask-size bound skips 1,442, and
+        # the degree step, read from the parents, builds 1,324 children and
+        # refines 949 of them.  The cut tests read the components of each of
+        # the 143 parents less each vertex, one search per component, and
+        # search no child
+        calls = {"_extend": 0, "_refine": 0, "_reach": 0, "_tarjan": 0}
 
         def counting(module, name):
             original = getattr(module, name)
@@ -258,11 +298,12 @@ class TestAcceptTest:
 
             monkeypatch.setattr(module, name, wrapper)
 
+        counting(enumeration, "_extend")
         counting(enumeration, "_refine")
         counting(graph, "_reach")
         counting(graph, "_tarjan")
         assert sum(1 for _ in connected_graphs(7)) == 853
-        assert calls == {"_refine": 949, "_reach": 940, "_tarjan": 0}
+        assert calls == {"_extend": 1324, "_refine": 949, "_reach": 940, "_tarjan": 0}
 
     def test_canon_calls_pinned(self, monkeypatch):
         # canon on every candidate would be 4,159 calls; the pre-test and the

@@ -4,8 +4,9 @@ import random
 
 import pytest
 
+from oracles import refine_reference
 from totecc import graph6
-from totecc.canon import canonical_form
+from totecc.canon import _refine, canonical_form
 from totecc.graph import (
     DisconnectedGraphError,
     Graph,
@@ -169,3 +170,49 @@ def test_canonical_form_is_invariant_and_exact(pair):
     isomorphic = _nx_isomorphic(g, other)
     hypothesis.event("isomorphic" if isomorphic else "not isomorphic")
     assert (canonical_form(other) == form) == isomorphic
+
+
+@st.composite
+def refinements(draw):
+    """A graph with n <= 24, an ordered partition of its vertices and splitters.
+
+    The partition is discrete, the unit partition or a random one; each
+    splitter is a singleton, a cell, the whole vertex set or any nonempty
+    mask, so the splitters need not be unions of cells.
+    """
+    n = draw(st.integers(1, 24))
+    p = draw(st.sampled_from((0.0, 0.1, 0.3, 0.5, 0.8, 1.0)))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    g = Graph.from_edges(n, [(u, v) for v in range(n) for u in range(v) if rng.random() < p])
+    order = list(range(n))
+    rng.shuffle(order)
+    kind = draw(st.sampled_from(("discrete", "unit", "random")))
+    hypothesis.event(f"{kind} partition")
+    if kind == "discrete":
+        cuts = list(range(1, n))
+    elif kind == "unit":
+        cuts = []
+    else:
+        cuts = sorted(rng.sample(range(1, n), rng.randint(0, n - 1)))
+    cells = [sum(1 << v for v in order[a:b]) for a, b in zip([0, *cuts], [*cuts, n])]
+    full = (1 << n) - 1
+    splitters = [
+        draw(
+            st.one_of(
+                st.builds(lambda v: 1 << v, st.integers(0, n - 1)),
+                st.sampled_from(cells),
+                st.just(full),
+                st.integers(1, full),
+            )
+        )
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+    return g.adj, cells, splitters
+
+
+@hypothesis.settings(max_examples=300, deadline=None, database=None)
+@hypothesis.given(refinements())
+def test_refine_matches_reference(case):
+    adj, cells, splitters = case
+    hypothesis.event("singleton first" if splitters[0].bit_count() == 1 else "wider first")
+    assert _refine(adj, list(cells), splitters) == refine_reference(adj, cells, splitters)
