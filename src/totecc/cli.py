@@ -252,8 +252,11 @@ def _emit_verdicts(verdicts: list[extremal.Verdict], fmt: str) -> None:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     names = sorted(extremal.THEOREMS) if args.theorem == "all" else [args.theorem]
+    orders = _parse_range(args.n)
+    for n in orders:
+        enumeration.check_order(n)
     verdicts: list[extremal.Verdict] = []
-    for n in _parse_range(args.n):
+    for n in orders:
         for name in names:
             print(f"verifying {name} at n={n}", file=sys.stderr)
             verdicts.extend(extremal.verify_theorem(name, n))
@@ -268,8 +271,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_conjecture(args: argparse.Namespace) -> int:
+    orders = _parse_range(args.n)
+    for n in orders:
+        if n not in extremal.CONJECTURE.orders:
+            raise ValueError(f"the conjecture audit covers 5 <= n <= 9, not n={n}")
     verdicts: list[extremal.Verdict] = []
-    for n in _parse_range(args.n):
+    for n in orders:
         print(f"auditing conjecture at n={n}", file=sys.stderr)
         verdicts.extend(extremal.check_conjecture(n))
     if not verdicts:

@@ -5,6 +5,8 @@ site raises InvalidSiteError rather than degrading to a no-op.  Rewrites
 return new graphs (inputs are never mutated) and preserve vertex count
 and connectivity.  Companion ``*_sites`` helpers enumerate every valid
 site of a graph deterministically (sorted by anchor ids) for harness use.
+Every path and cycle is read by one walker, ``_walk``, and every output
+graph is built by one rewiring step, ``_rewire``.
 
 Contracts (checked by the randomized property suite):
   add_edge            eps never increases (per vertex, hence in total)
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from typing import Iterable
 
 from .graph import Graph, bits, blocks, components_without, is_connected
 
@@ -33,31 +36,48 @@ def _require(cond: bool, msg: str) -> None:
         raise InvalidSiteError(msg)
 
 
+def _rewire(g: Graph, drop: Iterable[tuple[int, int]], add: Iterable[tuple[int, int]]) -> Graph:
+    """g with the ``drop`` edges removed and then the ``add`` edges joined."""
+    rows = list(g.adj)
+    for u, v in drop:
+        rows[u] &= ~(1 << v)
+        rows[v] &= ~(1 << u)
+    for u, v in add:
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+    return Graph(g.n, tuple(rows))
+
+
+def _walk(adj: tuple[int, ...], inside: int, prev: int, cur: int) -> list[int]:
+    """Vertices from cur, away from its neighbour prev, through degree-2 vertices of ``inside``.
+
+    Degrees count neighbours in the mask ``inside``.  The walk ends at the
+    first vertex whose degree is not 2, or just before it would come back
+    to its first ``prev``.
+    """
+    first, chain = prev, [cur]
+    while (adj[cur] & inside).bit_count() == 2:
+        # prev is a neighbour of cur, so the other neighbour is what is left.
+        prev, cur = cur, ((adj[cur] & inside) ^ 1 << prev).bit_length() - 1
+        if cur == first:
+            break
+        chain.append(cur)
+    return chain
+
+
 def add_edge(g: Graph, u: int, v: int) -> Graph:
     """Join two non-adjacent vertices; total eccentricity can only drop."""
     if not (0 <= u < g.n and 0 <= v < g.n):
         raise ValueError(f"vertex out of range for n={g.n}")
     _require(u != v, "cannot add a self-loop")
     _require(not g.has_edge(u, v), f"vertices {u} and {v} are already adjacent")
-    rows = list(g.adj)
-    rows[u] |= 1 << v
-    rows[v] |= 1 << u
-    return Graph(g.n, tuple(rows))
+    return _rewire(g, (), ((u, v),))
 
 
 def _dangling_path(g: Graph, hub: int, first: int) -> tuple[int, ...] | None:
     """The dangling path starting hub -> first, or None if it branches/cycles."""
-    chain = [first]
-    prev, cur = hub, first
-    while g.degree(cur) == 2:
-        nxt = next(u for u in bits(g.adj[cur]) if u != prev)
-        if nxt == hub:
-            return None
-        prev, cur = cur, nxt
-        chain.append(cur)
-    if g.degree(cur) != 1:
-        return None
-    return tuple(chain)
+    chain = _walk(g.adj, (1 << g.n) - 1, hub, first)
+    return tuple(chain) if g.degree(chain[-1]) == 1 else None
 
 
 @dataclass(frozen=True)
@@ -94,12 +114,7 @@ def graft_edge(g: Graph, site: GraftSite) -> Graph:
     _require(g.n - k - l >= 2, "base graph must keep at least 2 vertices")
     tail = short[-1]
     before = short[-2] if k >= 2 else h
-    rows = list(g.adj)
-    rows[before] &= ~(1 << tail)
-    rows[tail] &= ~(1 << before)
-    rows[long_[-1]] |= 1 << tail
-    rows[tail] |= 1 << long_[-1]
-    return Graph(g.n, tuple(rows))
+    return _rewire(g, ((before, tail),), ((long_[-1], tail),))
 
 
 def graft_sites(g: Graph) -> list[GraftSite]:
@@ -151,14 +166,8 @@ def relocate_path(g: Graph, site: RelocateSite) -> Graph:
     _require(c not in side and not (side & set(p)), "side overlaps center or path")
     for v in side:
         _require(not (g.adj[v] & _mask(rest)), "side and remainder are joined away from the center")
-    tail = p[-1]
-    rows = list(g.adj)
-    for h in sorted(rest & set(bits(g.adj[c]))):
-        rows[c] &= ~(1 << h)
-        rows[h] &= ~(1 << c)
-        rows[tail] |= 1 << h
-        rows[h] |= 1 << tail
-    out = Graph(g.n, tuple(rows))
+    moved = sorted(rest & set(bits(g.adj[c])))
+    out = _rewire(g, [(c, h) for h in moved], [(p[-1], h) for h in moved])
     _require(is_connected(out), "site did not split at the center as required")
     return out
 
@@ -218,9 +227,8 @@ def block_to_cycle(g: Graph, block_index: int) -> Graph:
         ring = cuts_in + sorted(block - {cuts_in[0]})
     else:
         ring = sorted(block)
-    keep = [(u, v) for u, v in g.edges() if not (u in block and v in block)]
-    ring_edges = [(ring[i], ring[(i + 1) % r]) for i in range(r)]
-    return Graph.from_edges(g.n, keep + ring_edges)
+    inner = [(u, v) for u, v in g.edges() if u in block and v in block]
+    return _rewire(g, inner, [(ring[i], ring[(i + 1) % r]) for i in range(r)])
 
 
 def block_cycle_sites(g: Graph) -> list[int]:
@@ -242,18 +250,10 @@ class MergeCyclesSite:
     cycle_b: frozenset[int]
 
 
-def _cycle_walk(g: Graph, block: frozenset[int], start: int) -> list[int]:
-    """Vertices of a cycle block in ring order from start, smaller neighbor first."""
-    inside = _mask(block)
-    first = min(bits(g.adj[start] & inside))
-    order = [start, first]
-    prev, cur = start, first
-    while True:
-        nxt = next(u for u in bits(g.adj[cur] & inside) if u != prev)
-        if nxt == start:
-            return order
-        order.append(nxt)
-        prev, cur = cur, nxt
+def _cycle_walk(g: Graph, inside: int, start: int) -> list[int]:
+    """Vertices of the cycle with mask ``inside`` in ring order from start, smaller neighbor first."""
+    nbrs = g.adj[start] & inside
+    return [start, *_walk(g.adj, inside, start, (nbrs & -nbrs).bit_length() - 1)]
 
 
 def _is_cycle_block(g: Graph, block: frozenset[int]) -> bool:
@@ -276,16 +276,9 @@ def merge_cycles(g: Graph, site: MergeCyclesSite) -> Graph:
     _require(_is_cycle_block(g, ca) and _is_cycle_block(g, cb), "blocks are not cycles")
     rest = g.n - (len(ca) - 1) - (len(cb) - 1)
     _require(rest >= 2, "remainder graph must keep at least 2 vertices")
-    ring_a = _cycle_walk(g, ca, w)
-    ring_b = _cycle_walk(g, cb, w)
-    rows = list(g.adj)
-    for x, y in ((ring_a[-1], w), (ring_b[-1], w)):
-        rows[x] &= ~(1 << y)
-        rows[y] &= ~(1 << x)
-    x, y = ring_a[-1], ring_b[-1]
-    rows[x] |= 1 << y
-    rows[y] |= 1 << x
-    return Graph(g.n, tuple(rows))
+    a = _cycle_walk(g, _mask(ca), w)[-1]
+    b = _cycle_walk(g, _mask(cb), w)[-1]
+    return _rewire(g, ((a, w), (b, w)), ((a, b),))
 
 
 def merge_sites(g: Graph) -> list[MergeCyclesSite]:
@@ -358,15 +351,8 @@ def balance_paths(g: Graph, site: BalanceSite) -> Graph:
         lengths[site.receiver] <= lengths[site.donor] - 2,
         "receiver path must be shorter by at least 2",
     )
-    donor_path = paths[site.donor]
-    tail, before = donor_path[-1], donor_path[-2]
-    rows = list(g.adj)
-    rows[before] &= ~(1 << tail)
-    rows[tail] &= ~(1 << before)
-    recv_end = paths[site.receiver][-1]
-    rows[recv_end] |= 1 << tail
-    rows[tail] |= 1 << recv_end
-    return Graph(g.n, tuple(rows))
+    before, tail = paths[site.donor][-2:]
+    return _rewire(g, ((before, tail),), ((paths[site.receiver][-1], tail),))
 
 
 def balance_sites(g: Graph) -> list[BalanceSite]:
@@ -425,35 +411,27 @@ def shrink_girth_to_3(g: Graph, site: ShrinkSite) -> Graph:
     walk, girth_len = order
     _require(girth_len >= 4, "tadpole girth must be at least 4")
     r = len(walk)
-    keep = [(a, b) for a, b in g.edges() if not (tad >> a & 1 and tad >> b & 1)]
+    inner = [(a, b) for a, b in g.edges() if tad >> a & 1 and tad >> b & 1]
     new = [(walk[i], walk[i + 1]) for i in range(r - 3)]
     new += [(walk[r - 3], walk[r - 2]), (walk[r - 2], walk[r - 1]), (walk[r - 1], walk[r - 3])]
-    return Graph.from_edges(g.n, keep + new)
+    return _rewire(g, inner, new)
 
 
 def _tadpole_order(g: Graph, tad: int, p: int) -> tuple[list[int], int] | None:
     """Path-then-cycle vertex order of the tadpole component with mask ``tad``, or None."""
-    deg = {v: (g.adj[v] & tad).bit_count() for v in bits(tad)}
-    edges_in = sum(deg.values()) // 2
-    if edges_in != tad.bit_count() or deg[p] != 1:
+    deg = [(row & tad).bit_count() for row in g.adj]
+    if sum(deg[v] for v in bits(tad)) != 2 * tad.bit_count() or deg[p] != 1:
         return None
-    walk = [p]
-    prev, cur = None, p
-    while deg[cur] <= 2:
-        nbrs = [x for x in bits(g.adj[cur] & tad) if x != prev]
-        if len(nbrs) != 1:
-            return None
-        prev, cur = cur, nbrs[0]
-        walk.append(cur)
+    path = [p, *_walk(g.adj, tad, p, (g.adj[p] & tad).bit_length() - 1)]
+    cur = path.pop()
     if deg[cur] != 3:
         return None
-    ring = set(bits(tad)) - set(walk[:-1])
-    if not all(deg[v] == 2 for v in ring - {cur}):
+    ring = tad & ~_mask(path)
+    if not all(deg[v] == 2 for v in bits(ring ^ 1 << cur)):
         return None
-    ring_order = _cycle_walk(g, frozenset(ring), cur)
-    if len(ring_order) != len(ring):
-        return None
-    return walk[:-1] + ring_order, len(ring)
+    # tad is connected with as many edges as vertices, so the ring is one cycle
+    ring_order = _cycle_walk(g, ring, cur)
+    return path + ring_order, len(ring_order)
 
 
 def shrink_sites(g: Graph) -> list[ShrinkSite]:

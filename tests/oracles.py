@@ -14,14 +14,7 @@ from totecc.graph import (
     is_connected,
     without_edge,
 )
-from totecc.transforms import (
-    RelocateSite,
-    ShrinkSite,
-    _cycle_walk,
-    _dangling_path,
-    _mask,
-    _require,
-)
+from totecc.transforms import RelocateSite, ShrinkSite, _require
 
 
 def distance_matrix(g: Graph) -> tuple[tuple[int, ...], ...]:
@@ -180,6 +173,42 @@ def subset_orbit_reps_by_mask(k: int, gens: Gens) -> Iterator[int]:
                 if not seen[im]:
                     seen[im] = 1
                     stack.append(im)
+
+
+def _mask(vs) -> int:
+    m = 0
+    for v in vs:
+        m |= 1 << v
+    return m
+
+
+def _dangling_path(g: Graph, hub: int, first: int) -> tuple[int, ...] | None:
+    """The dangling path starting hub -> first, or None if it branches/cycles."""
+    chain = [first]
+    prev, cur = hub, first
+    while g.degree(cur) == 2:
+        nxt = next(u for u in bits(g.adj[cur]) if u != prev)
+        if nxt == hub:
+            return None
+        prev, cur = cur, nxt
+        chain.append(cur)
+    if g.degree(cur) != 1:
+        return None
+    return tuple(chain)
+
+
+def _cycle_walk(g: Graph, block: frozenset[int], start: int) -> list[int]:
+    """Vertices of a cycle block in ring order from start, smaller neighbor first."""
+    inside = _mask(block)
+    first = min(bits(g.adj[start] & inside))
+    order = [start, first]
+    prev, cur = start, first
+    while True:
+        nxt = next(u for u in bits(g.adj[cur] & inside) if u != prev)
+        if nxt == start:
+            return order
+        order.append(nxt)
+        prev, cur = cur, nxt
 
 
 def relocate_sites_by_sets(g: Graph) -> list[RelocateSite]:

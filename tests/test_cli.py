@@ -326,10 +326,11 @@ class TestVerify:
         assert rows and all(r["status"] == "pass" for r in rows)
 
 
-    @pytest.mark.parametrize("orders", ["12", "8..3"])
+    @pytest.mark.parametrize("orders", ["12", "8..3", "8..10"])
     def test_no_applicable_order_is_usage_error(self, capsys, orders):
         code, out, err = run(capsys, "verify", "-n", orders, "--format", "json")
         assert code == 2 and out == "" and "error: " in err
+        assert "verifying" not in err  # rejected before any order runs
 
     def test_theorem_outside_its_range_is_usage_error(self, capsys):
         code, out, err = run(capsys, "verify", "--theorem", "unicyclic", "-n", "3..4")
@@ -358,10 +359,13 @@ class TestConjecture:
         assert "violation" in err
 
 
-    @pytest.mark.parametrize("orders", ["8..3", "5"])
+    @pytest.mark.parametrize("orders", ["8..3", "5", "8..10"])
     def test_no_case_is_usage_error(self, capsys, orders):
         code, out, err = run(capsys, "conjecture", "-n", orders)
         assert code == 2 and "error: " in err and "no conjecture violations" not in err
+        assert out == ""
+        if orders != "5":  # n = 5 is audited and has no case; the others never start
+            assert err.startswith("error: ")
 
 
 class TestUsage:

@@ -1,11 +1,13 @@
 """Property tests on random graphs drawn by hypothesis, connected or not."""
 
+import operator
 import random
 
 import pytest
 
+from conftest import attach_cycles, attach_paths, attach_tadpole, glue_relocate, random_connected_graph
 from oracles import refine_reference
-from totecc import graph6
+from totecc import graph6, transforms
 from totecc.canon import _refine, canonical_form
 from totecc.graph import (
     DisconnectedGraphError,
@@ -15,6 +17,8 @@ from totecc.graph import (
     _sweep,
     eccentricities,
     eccentricity,
+    is_connected,
+    total_eccentricity,
 )
 
 nx = pytest.importorskip("networkx")
@@ -216,3 +220,61 @@ def test_refine_matches_reference(case):
     adj, cells, splitters = case
     hypothesis.event("singleton first" if splitters[0].bit_count() == 1 else "wider first")
     assert _refine(adj, list(cells), splitters) == refine_reference(adj, cells, splitters)
+
+
+@st.composite
+def rewrite_inputs(draw):
+    """A graph with n <= 12 from one of the conftest builders, on a random base of 1 to 4 vertices.
+
+    Paths on a one-vertex base make a path, which has balance sites; two
+    paths give graft sites, two cycles merge and block-to-cycle sites, a
+    tadpole of girth >= 4 shrink sites, and the glued graph relocation
+    sites.  Every graph has vertex pairs to join.
+    """
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    base = random_connected_graph(rng, rng.randrange(1, 5), rng.randrange(0, 3))
+    hub = rng.randrange(base.n)
+    builder = draw(st.sampled_from(("paths", "cycles", "tadpole", "glued")))
+    hypothesis.event(builder)
+    if builder == "paths":
+        k = rng.randrange(1, 4)
+        return attach_paths(base, hub, k, rng.randrange(k, 5))[0]
+    if builder == "cycles":
+        return attach_cycles(base, hub, rng.randrange(3, 6), rng.randrange(3, 6))[0]
+    if builder == "tadpole":
+        girth = rng.randrange(3, 7)
+        return attach_tadpole(base, hub, girth + rng.randrange(1, 3), girth)[0]
+    return glue_relocate(rng.randrange(2, 5), rng.randrange(2, 5), rng.randrange(2, 5), rng)[0]
+
+
+# (sites, rewrite, how the total after compares with the total before),
+# as the transforms module docstring states each contract.
+_CONTRACTS = (
+    (transforms.graft_sites, transforms.graft_edge, operator.gt),
+    (transforms.relocate_sites, transforms.relocate_path, operator.gt),
+    (transforms.block_cycle_sites, transforms.block_to_cycle, operator.ge),
+    (transforms.merge_sites, transforms.merge_cycles, operator.ge),
+    (transforms.balance_sites, transforms.balance_paths, operator.le),
+    (transforms.shrink_sites, transforms.shrink_girth_to_3, operator.gt),
+)
+
+
+@hypothesis.settings(max_examples=250, deadline=None, database=None)
+@hypothesis.given(rewrite_inputs())
+def test_rewrites_keep_their_contracts(g):
+    total = total_eccentricity(g)
+    for sites, rewrite, moves in _CONTRACTS:
+        listed = sites(g)
+        if listed:
+            hypothesis.event(f"{rewrite.__name__} sites")
+        for site in listed:
+            out = rewrite(g, site)
+            assert out.n == g.n and is_connected(out), (g, site)
+            assert moves(total_eccentricity(out), total), (g, site)
+    eccs = eccentricities(g)
+    for v in range(g.n):
+        for u in range(v):
+            if not g.has_edge(u, v):
+                out = transforms.add_edge(g, u, v)
+                assert out.n == g.n and is_connected(out)
+                assert all(a <= b for a, b in zip(eccentricities(out), eccs)), (g, u, v)

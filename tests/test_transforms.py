@@ -16,10 +16,16 @@ from conftest import (
     random_connected_graph,
     random_tree,
 )
-from oracles import relocate_sites_by_sets, shrink_girth_to_3_by_edge, shrink_sites_by_edge
+from oracles import (
+    _cycle_walk,
+    _dangling_path,
+    relocate_sites_by_sets,
+    shrink_girth_to_3_by_edge,
+    shrink_sites_by_edge,
+)
 from totecc import families, transforms
 from totecc.canon import canonical_form
-from totecc.graph import Graph, eccentricities, is_connected, total_eccentricity
+from totecc.graph import Graph, bits, blocks, eccentricities, is_connected, total_eccentricity
 from totecc.transforms import (
     BalanceSite,
     GraftSite,
@@ -475,3 +481,21 @@ def test_listers_match_set_and_edge_oracles():
                         shrink_girth_to_3(g, site)
                 else:
                     assert shrink_girth_to_3(g, site) == expected, (g, site)
+
+
+def test_walkers_match_oracle_walkers():
+    # the oracles keep their own walkers, so this checks transforms._walk
+    cycles = 0
+    for g in _lister_inputs():
+        for h in range(g.n):
+            for a in bits(g.adj[h]):
+                assert transforms._dangling_path(g, h, a) == _dangling_path(g, h, a), (g, h, a)
+        if not is_connected(g):
+            continue
+        for block in blocks(g).blocks:
+            if not transforms._is_cycle_block(g, block):
+                continue
+            cycles += 1
+            for v in block:
+                assert transforms._cycle_walk(g, transforms._mask(block), v) == _cycle_walk(g, block, v)
+    assert cycles >= 300
