@@ -271,10 +271,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_conjecture(args: argparse.Namespace) -> int:
-    orders = _parse_range(args.n)
+    orders, audited = _parse_range(args.n), extremal.CONJECTURE.orders
     for n in orders:
-        if n not in extremal.CONJECTURE.orders:
-            raise ValueError(f"the conjecture audit covers 5 <= n <= 9, not n={n}")
+        if n not in audited:
+            raise ValueError(
+                f"the conjecture audit covers {audited[0]} <= n <= {audited[-1]}, not n={n}"
+            )
     verdicts: list[extremal.Verdict] = []
     for n in orders:
         print(f"auditing conjecture at n={n}", file=sys.stderr)

@@ -239,10 +239,7 @@ def check_order(n: int, allow_large: bool = False) -> None:
     """Raise ValueError unless the stream supports order n."""
     cap = MAX_OPTIN if allow_large else MAX_EXHAUSTIVE
     if not 1 <= n <= cap:
-        raise ValueError(
-            f"exhaustive enumeration supports 1 <= n <= {cap}"
-            + ("" if allow_large else " (allow_large=True unlocks 10)")
-        )
+        raise ValueError(f"exhaustive enumeration supports 1 <= n <= {cap}")
 
 
 def roots(n: int, allow_large: bool = False) -> list[Root]:

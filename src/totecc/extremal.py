@@ -26,7 +26,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple
 
 from . import families, formulas, graph6
 from .canon import canonical_graph
-from .enumeration import connected_graph_list
+from .enumeration import MAX_EXHAUSTIVE, connected_graph_list
 from .graph import Graph, cut_vertices, girth, pendant_vertices, total_eccentricity
 
 PASS = "pass"
@@ -379,21 +379,24 @@ def _conjecture(n: int, s: int) -> _Prediction:
     return _Prediction(total_eccentricity(tad), [tad], False)
 
 
+# Every row runs up to the exhaustive cap.
+_STOP = MAX_EXHAUSTIVE + 1
+
 THEOREMS = {
     # Maximum and minimum total eccentricity with k pendant vertices.
     "pendant-max": _Theorem(
-        range(3, 10),
+        range(3, _STOP),
         lambda n: range(0, n - 2),
         (_Statement("pendant-max", "pendant_count", "max", _pendant_max),),
     ),
     "pendant-min": _Theorem(
-        range(3, 10),
+        range(3, _STOP),
         lambda n: range(0, n - 2),
         (_Statement("pendant-min", "pendant_count", "min", _pendant_min),),
     ),
     # Unicyclic minimum (pendant tadpole) and maximum (path tadpole).
     "unicyclic": _Theorem(
-        range(5, 10),
+        range(5, _STOP),
         lambda n: (None,),
         (
             _Statement("unicyclic-min", "unicyclic", "min", _unicyclic_min),
@@ -402,18 +405,18 @@ THEOREMS = {
     ),
     # Minimum with s cut vertices, and the maximum where it is settled.
     "cut-min": _Theorem(
-        range(3, 10),
+        range(3, _STOP),
         lambda n: range(0, n - 1),
         (_Statement("cut-min", "cut_count", "min", _cut_min),),
     ),
     "cut-max": _Theorem(
-        range(3, 10),
+        range(3, _STOP),
         lambda n: sorted({0, 1, n - 3, n - 2} & set(range(0, n - 1))),
         (_Statement("cut-max", "cut_count", "max", _cut_max),),
     ),
     # Tree extremes with k pendant vertices, k = 2..n-1.
     "tree": _Theorem(
-        range(4, 10),
+        range(4, _STOP),
         lambda n: range(2, n),
         (
             _Statement("tree-max", "tree_with_pendants", "max", _tree_max),
@@ -424,7 +427,7 @@ THEOREMS = {
 
 # The open case 2 <= s <= n-4 of the maximum with s cut vertices.
 CONJECTURE = _Theorem(
-    range(5, 10),
+    range(5, _STOP),
     lambda n: range(2, n - 3),
     (_Statement("conjecture", "cut_count", "max", _conjecture),),
 )
@@ -447,7 +450,8 @@ def check_conjecture(n: int) -> list[Verdict]:
     in graph6 with their totals), not raised as an error.
     """
     if n not in CONJECTURE.orders:
-        raise ValueError("check_conjecture needs 5 <= n <= 9")
+        lo, hi = CONJECTURE.orders[0], CONJECTURE.orders[-1]
+        raise ValueError(f"check_conjecture needs {lo} <= n <= {hi}")
     return [
         replace(
             v,

@@ -4,34 +4,36 @@ Every constructor fixes an explicit labeling (cycle vertices first, then
 path/pendant vertices in attachment order) so that identical parameters
 always produce bit-identical Graph values, which golden tests rely on.
 Parameter validation raises ValueError; the constructors never normalize
-arguments silently.
+arguments silently.  Paths and rings are built by ``graph.path_edges`` and
+``graph.cycle_edges``, cliques by ``itertools.combinations``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
-from .graph import Graph
+from .graph import Graph, cycle_edges, path_edges
 
 
 def path(n: int) -> Graph:
     """Path 0-1-...-(n-1)."""
     if n < 1:
         raise ValueError("path needs n >= 1")
-    return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
+    return Graph.from_edges(n, path_edges(range(n)))
 
 
 def cycle(n: int) -> Graph:
     """Cycle 0-1-...-(n-1)-0."""
     if n < 3:
         raise ValueError("cycle needs n >= 3")
-    return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+    return Graph.from_edges(n, cycle_edges(range(n)))
 
 
 def complete(n: int) -> Graph:
     if n < 1:
         raise ValueError("complete graph needs n >= 1")
-    return Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+    return Graph.from_edges(n, combinations(range(n), 2))
 
 
 def star(n: int) -> Graph:
@@ -52,7 +54,7 @@ def double_broom(l: int, m: int, d: int) -> Graph:
     if l < 1 or m < 1 or d < 1:
         raise ValueError("double broom needs l, m, d >= 1")
     n = l + m + d
-    edges = [(i, i + 1) for i in range(d - 1)]
+    edges = path_edges(range(d))
     edges += [(0, d + i) for i in range(l)]
     edges += [(d - 1, d + l + i) for i in range(m)]
     return Graph.from_edges(n, edges)
@@ -67,15 +69,11 @@ def spider_balanced(n: int, k: int) -> Graph:
     if not 2 <= k <= n - 1:
         raise ValueError("balanced spider needs 2 <= k <= n-1")
     q, r = divmod(n - 1, k)
-    edges = []
-    nxt = 1
+    edges, first = [], 1
     for leg in range(k):
         length = q + 1 if leg < r else q
-        prev = 0
-        for _ in range(length):
-            edges.append((prev, nxt))
-            prev = nxt
-            nxt += 1
+        edges += path_edges([0, *range(first, first + length)])
+        first += length
     return Graph.from_edges(n, edges)
 
 
@@ -91,13 +89,9 @@ def double_spider(n: int, k: int, t: int) -> Graph:
         raise ValueError("double spider needs 1 <= t <= k-1")
     leg = (n - 2) // k
     edges = [(0, 1)]
-    nxt = 2
     for i in range(k):
-        prev = 0 if i < t else 1
-        for _ in range(leg):
-            edges.append((prev, nxt))
-            prev = nxt
-            nxt += 1
+        first = 2 + i * leg
+        edges += path_edges([0 if i < t else 1, *range(first, first + leg)])
     return Graph.from_edges(n, edges)
 
 
@@ -109,19 +103,14 @@ def tadpole_l(n: int, g: int) -> Graph:
     """
     if not 3 <= g <= n - 1:
         raise ValueError("tadpole (path form) needs 3 <= g <= n-1")
-    edges = [(i, (i + 1) % g) for i in range(g)]
-    edges.append((0, g))
-    edges += [(i, i + 1) for i in range(g, n - 1)]
-    return Graph.from_edges(n, edges)
+    return Graph.from_edges(n, cycle_edges(range(g)) + path_edges([0, *range(g, n)]))
 
 
 def tadpole_p(n: int, g: int) -> Graph:
     """Cycle 0..g-1 with n-g pendant vertices g..n-1 attached to vertex 0."""
     if not 3 <= g <= n - 1:
         raise ValueError("tadpole (pendant form) needs 3 <= g <= n-1")
-    edges = [(i, (i + 1) % g) for i in range(g)]
-    edges += [(0, v) for v in range(g, n)]
-    return Graph.from_edges(n, edges)
+    return Graph.from_edges(n, cycle_edges(range(g)) + [(0, v) for v in range(g, n)])
 
 
 def dumbbell(m1: int, m2: int, n: int) -> Graph:
@@ -136,16 +125,10 @@ def dumbbell(m1: int, m2: int, n: int) -> Graph:
         raise ValueError("dumbbell needs m1, m2 >= 3")
     if n < m1 + m2 - 1:
         raise ValueError("dumbbell needs n >= m1 + m2 - 1")
+    edges = cycle_edges(range(m1))
     if n == m1 + m2 - 1:
-        ring1 = list(range(m1))
-        ring2 = [0] + list(range(m1, m1 + m2 - 1))
-        edges = [(ring1[i], ring1[(i + 1) % m1]) for i in range(m1)]
-        edges += [(ring2[i], ring2[(i + 1) % m2]) for i in range(m2)]
-        return Graph.from_edges(n, edges)
-    edges = [(i, (i + 1) % m1) for i in range(m1)]
-    edges += [(m1 + i, m1 + (i + 1) % m2) for i in range(m2)]
-    chain = [0] + list(range(m1 + m2, n)) + [m1]
-    edges += [(chain[i], chain[i + 1]) for i in range(len(chain) - 1)]
+        return Graph.from_edges(n, edges + cycle_edges([0, *range(m1, n)]))
+    edges += cycle_edges(range(m1, m1 + m2)) + path_edges([0, *range(m1 + m2, n), m1])
     return Graph.from_edges(n, edges)
 
 
@@ -163,14 +146,10 @@ def complete_with_paths(m: int, lengths: tuple[int, ...]) -> Graph:
     if any(l < 1 for l in lengths):
         raise ValueError("path lengths must be >= 1")
     n = sum(lengths)
-    edges = [(u, v) for u in range(m) for v in range(u + 1, m)]
-    nxt = m
+    edges, first = list(combinations(range(m), 2)), m
     for i, l in enumerate(lengths):
-        prev = i
-        for _ in range(l - 1):
-            edges.append((prev, nxt))
-            prev = nxt
-            nxt += 1
+        edges += path_edges([i, *range(first, first + l - 1)])
+        first += l - 1
     return Graph.from_edges(n, edges)
 
 
@@ -193,9 +172,7 @@ def complete_with_pendants(n: int, k: int) -> Graph:
     if not 0 <= k <= n - 3:
         raise ValueError("complete-with-pendants needs 0 <= k <= n-3")
     m = n - k
-    edges = [(u, v) for u in range(m) for v in range(u + 1, m)]
-    edges += [(0, v) for v in range(m, n)]
-    return Graph.from_edges(n, edges)
+    return Graph.from_edges(n, list(combinations(range(m), 2)) + [(0, v) for v in range(m, n)])
 
 
 # tag -> (parameter count, builder over the parameter tuple); complete_with_paths

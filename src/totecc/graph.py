@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
+from itertools import compress, pairwise
 from typing import Iterable, Iterator, Sequence
 
 MAX_VERTICES = 200
@@ -117,6 +117,16 @@ class Graph:
                 row |= 1 << pos[u]
             rows[i] = row
         return Graph(self.n, tuple(rows))
+
+
+def path_edges(vs: Sequence[int]) -> list[tuple[int, int]]:
+    """The edges of the path through ``vs``, in order."""
+    return list(pairwise(vs))
+
+
+def cycle_edges(vs: Sequence[int]) -> list[tuple[int, int]]:
+    """The edges of the path through ``vs`` plus the closing edge back to ``vs[0]``."""
+    return [*pairwise(vs), (vs[-1], vs[0])]
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable
 
-from .graph import Graph, bits, blocks, components_without, is_connected
+from .graph import Graph, bits, blocks, components_without, cycle_edges, is_connected, path_edges
 
 
 class InvalidSiteError(ValueError):
@@ -219,16 +219,12 @@ def block_to_cycle(g: Graph, block_index: int) -> Graph:
     if not 0 <= block_index < len(decomp.blocks):
         raise ValueError(f"block index {block_index} out of range")
     block = decomp.blocks[block_index]
-    r = len(block)
-    _require(r >= 3, "block must have at least 3 vertices")
+    _require(len(block) >= 3, "block must have at least 3 vertices")
     cuts_in = sorted(block & decomp.cut_vertices)
     _require(len(cuts_in) <= 1, "block touches more than one cut vertex")
-    if cuts_in:
-        ring = cuts_in + sorted(block - {cuts_in[0]})
-    else:
-        ring = sorted(block)
+    ring = cuts_in + sorted(block.difference(cuts_in))
     inner = [(u, v) for u, v in g.edges() if u in block and v in block]
-    return _rewire(g, inner, [(ring[i], ring[(i + 1) % r]) for i in range(r)])
+    return _rewire(g, inner, cycle_edges(ring))
 
 
 def block_cycle_sites(g: Graph) -> list[int]:
@@ -410,11 +406,8 @@ def shrink_girth_to_3(g: Graph, site: ShrinkSite) -> Graph:
     _require(order is not None, "component is not a path-form tadpole")
     walk, girth_len = order
     _require(girth_len >= 4, "tadpole girth must be at least 4")
-    r = len(walk)
     inner = [(a, b) for a, b in g.edges() if tad >> a & 1 and tad >> b & 1]
-    new = [(walk[i], walk[i + 1]) for i in range(r - 3)]
-    new += [(walk[r - 3], walk[r - 2]), (walk[r - 2], walk[r - 1]), (walk[r - 1], walk[r - 3])]
-    return _rewire(g, inner, new)
+    return _rewire(g, inner, path_edges(walk[:-2]) + cycle_edges(walk[-3:]))
 
 
 def _tadpole_order(g: Graph, tad: int, p: int) -> tuple[list[int], int] | None:

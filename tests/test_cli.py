@@ -367,8 +367,29 @@ class TestConjecture:
         if orders != "5":  # n = 5 is audited and has no case; the others never start
             assert err.startswith("error: ")
 
+    def test_unaudited_order_names_the_audited_range(self, capsys):
+        code, out, err = run(capsys, "conjecture", "-n", "4..6")
+        assert (code, out) == (2, "")
+        assert err == "error: the conjecture audit covers 5 <= n <= 9, not n=4\n"
+
 
 class TestUsage:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["enumerate", "-n", "10"],
+            ["verify", "-n", "10"],
+            ["search", "-n", "10", "--class", "all", "--objective", "max"],
+        ],
+        ids=["enumerate", "verify", "search"],
+    )
+    def test_order_past_the_cap_names_no_python_keyword(self, capsys, argv):
+        # allow_large is the library's keyword; the CLI flag is --allow-large,
+        # and verify and search have no such option.
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "allow_large" not in err
+
     def test_unknown_command(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])

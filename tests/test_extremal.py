@@ -250,5 +250,5 @@ class TestDispatch:
 
     def test_range_validation(self):
         assert verify_theorem("pendant-max", 10) == []
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^check_conjecture needs 5 <= n <= 9$"):
             check_conjecture(4)

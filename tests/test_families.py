@@ -35,6 +35,59 @@ class TestGolden:
         g = families.dumbbell(3, 3, 5)
         assert g.edges() == [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (3, 4)]
 
+    # One pin per remaining constructor, with every leg, path and ring at
+    # least two edges long, so a shifted label anywhere changes the list.
+    @pytest.mark.parametrize(
+        "build, edges",
+        [
+            (lambda: families.cycle(5), [(0, 1), (0, 4), (1, 2), (2, 3), (3, 4)]),
+            (lambda: families.complete(4), [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]),
+            (lambda: families.star(4), [(0, 1), (0, 2), (0, 3)]),
+            (
+                lambda: families.spider_balanced(8, 3),
+                [(0, 1), (0, 4), (0, 6), (1, 2), (2, 3), (4, 5), (6, 7)],
+            ),
+            (
+                lambda: families.double_spider(10, 4, 2),
+                [(0, 1), (0, 2), (0, 4), (1, 6), (1, 8), (2, 3), (4, 5), (6, 7), (8, 9)],
+            ),
+            (
+                lambda: families.tadpole_p(6, 4),
+                [(0, 1), (0, 3), (0, 4), (0, 5), (1, 2), (2, 3)],
+            ),
+            (
+                lambda: families.dumbbell(3, 4, 10),
+                [(0, 1), (0, 2), (0, 7), (1, 2), (3, 4), (3, 6), (3, 9), (4, 5), (5, 6), (7, 8), (8, 9)],
+            ),
+            (
+                lambda: families.complete_with_paths(3, (3, 1, 4)),
+                [(0, 1), (0, 2), (0, 3), (1, 2), (2, 5), (3, 4), (5, 6), (6, 7)],
+            ),
+            (
+                lambda: families.kmn_balanced(10, 7),
+                [(0, 1), (0, 2), (0, 3), (1, 2), (1, 6), (2, 8), (3, 4), (4, 5), (6, 7), (8, 9)],
+            ),
+            (
+                lambda: families.complete_with_pendants(7, 2),
+                [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (0, 6), (1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)],
+            ),
+        ],
+        ids=[
+            "cycle",
+            "complete",
+            "star",
+            "spider_balanced",
+            "double_spider",
+            "tadpole_p",
+            "dumbbell_path",
+            "complete_with_paths",
+            "kmn_balanced",
+            "complete_with_pendants",
+        ],
+    )
+    def test_constructor_edges(self, build, edges):
+        assert build().edges() == edges
+
     def test_constructors_deterministic(self):
         a = FamilySpec("dumbbell", (3, 4, 9)).build()
         b = FamilySpec("dumbbell", (3, 4, 9)).build()
