@@ -100,10 +100,7 @@ def _cmd_family(args: argparse.Namespace) -> int:
 
 
 _REWRITE_KINDS = {
-    "add-edge": (
-        lambda g: [(u, v) for u in range(g.n) for v in range(u + 1, g.n) if not g.has_edge(u, v)],
-        lambda g, s: transforms.add_edge(g, *s),
-    ),
+    "add-edge": (transforms.add_edge_sites, lambda g, s: transforms.add_edge(g, *s)),
     "graft": (transforms.graft_sites, transforms.graft_edge),
     "relocate": (transforms.relocate_sites, transforms.relocate_path),
     "block-to-cycle": (transforms.block_cycle_sites, transforms.block_to_cycle),

@@ -139,15 +139,10 @@ class DistanceRow:
 
 @dataclass(frozen=True)
 class BlockDecomposition:
-    """Blocks (maximal 2-connected subgraphs), cut vertices and block graph.
-
-    ``block_graph`` joins blocks that share a cut vertex; it is None only
-    for the single-vertex graph, which has no blocks at all.
-    """
+    """Blocks (maximal 2-connected subgraphs) and cut vertices; one vertex has no blocks."""
 
     blocks: tuple[frozenset[int], ...]
     cut_vertices: frozenset[int]
-    block_graph: "Graph | None"
 
 
 def bfs_levels(adj: Sequence[int], start: int, banned: int = 0) -> Iterator[int]:
@@ -450,7 +445,8 @@ def _tarjan(g: Graph) -> tuple[frozenset[int], list[frozenset[int]]]:
 
     Tarjan's low-point search with an edge stack: when a child v of p has
     low[v] >= disc[p], the edges down to (p, v) form one block and p is a
-    cut vertex unless it is the root with a single child.
+    cut vertex unless it is the root with a single child.  The stack's order
+    sets each block frozenset's iteration order, printed in merge-cycles sites.
     """
     n = g.n
     disc = [-1] * n
@@ -515,14 +511,9 @@ def cut_vertices(g: Graph) -> frozenset[int]:
 
 
 def blocks(g: Graph) -> BlockDecomposition:
-    """Biconnected components, cut vertices, and the block graph."""
+    """Biconnected components, sorted by their sorted members, and cut vertices."""
     cut_set, raw_blocks = _tarjan(g)
-    block_list = tuple(sorted(raw_blocks, key=sorted))
-    b = len(block_list)
-    # Two blocks share at most one vertex, and a shared vertex is a cut vertex.
-    bg_edges = [(i, j) for i in range(b) for j in range(i + 1, b) if block_list[i] & block_list[j]]
-    block_graph = Graph.from_edges(b, bg_edges) if b else None
-    return BlockDecomposition(block_list, cut_set, block_graph)
+    return BlockDecomposition(tuple(sorted(raw_blocks, key=sorted)), cut_set)
 
 
 def diameter(g: Graph) -> int:

@@ -5,6 +5,8 @@ site raises InvalidSiteError rather than degrading to a no-op.  Rewrites
 return new graphs (inputs are never mutated) and preserve vertex count
 and connectivity.  Companion ``*_sites`` helpers enumerate every valid
 site of a graph deterministically (sorted by anchor ids) for harness use.
+Every rewrite and every lister raises DisconnectedGraphError on a
+disconnected graph, as the connectivity-bound invariants of ``graph`` do.
 Every path and cycle is read by one walker, ``_walk``, and every output
 graph is built by one rewiring step, ``_rewire``.
 
@@ -25,6 +27,7 @@ from itertools import combinations
 from typing import Iterable
 
 from .graph import Graph, bits, blocks, components_without, cycle_edges, is_connected, path_edges
+from .graph import _require_connected
 
 
 class InvalidSiteError(ValueError):
@@ -67,11 +70,18 @@ def _walk(adj: tuple[int, ...], inside: int, prev: int, cur: int) -> list[int]:
 
 def add_edge(g: Graph, u: int, v: int) -> Graph:
     """Join two non-adjacent vertices; total eccentricity can only drop."""
+    _require_connected(g)
     if not (0 <= u < g.n and 0 <= v < g.n):
         raise ValueError(f"vertex out of range for n={g.n}")
     _require(u != v, "cannot add a self-loop")
     _require(not g.has_edge(u, v), f"vertices {u} and {v} are already adjacent")
     return _rewire(g, (), ((u, v),))
+
+
+def add_edge_sites(g: Graph) -> list[tuple[int, int]]:
+    """All non-adjacent pairs (u, v) with u < v, sorted."""
+    _require_connected(g)
+    return [(u, v) for u in range(g.n) for v in range(u + 1, g.n) if not g.has_edge(u, v)]
 
 
 def _dangling_path(g: Graph, hub: int, first: int) -> tuple[int, ...] | None:
@@ -96,7 +106,7 @@ def graft_edge(g: Graph, site: GraftSite) -> Graph:
     path and re-attaches its end to the long path's end, producing the
     (k-1, l+1) configuration; the total eccentricity strictly increases.
     """
-    _require(is_connected(g), "graft site requires a connected graph")
+    _require_connected(g)
     h, short, long_ = site.hub, site.short_path, site.long_path
     k, l = len(short), len(long_)
     _require(k >= 1, "short path must have length >= 1")
@@ -119,6 +129,7 @@ def graft_edge(g: Graph, site: GraftSite) -> Graph:
 
 def graft_sites(g: Graph) -> list[GraftSite]:
     """All valid graft sites, sorted by (hub, path anchors)."""
+    _require_connected(g)
     sites = []
     for h in range(g.n):
         paths = []
@@ -154,7 +165,7 @@ def relocate_path(g: Graph, site: RelocateSite) -> Graph:
     loses eccentricity.  Relocated path vertices CAN lose eccentricity
     (their far side may flip), so only the aggregate is contracted.
     """
-    _require(is_connected(g), "relocate site requires a connected graph")
+    _require_connected(g)
     c, p, side = site.center, site.path, site.side
     _require(len(p) >= 1, "path must contribute at least one vertex")
     _require(
@@ -181,9 +192,8 @@ def _mask(vs) -> int:
 
 def relocate_sites(g: Graph) -> list[RelocateSite]:
     """All valid relocations, sorted by (center, path, side)."""
+    _require_connected(g)
     sites: list[RelocateSite] = []
-    if not is_connected(g):
-        return sites
     for c in range(g.n):
         comps = components_without(g.adj, c)
         if len(comps) < 3:
@@ -336,7 +346,7 @@ def balance_paths(g: Graph, site: BalanceSite) -> Graph:
     unchanged when the clique is a single edge, where both sides are
     paths).
     """
-    _require(is_connected(g), "balance site requires a connected graph")
+    _require_connected(g)
     paths = _kmn_profile(g, site.clique)
     m = len(paths)
     _require(0 <= site.donor < m and 0 <= site.receiver < m, "path index out of range")
@@ -353,8 +363,6 @@ def balance_paths(g: Graph, site: BalanceSite) -> Graph:
 
 def balance_sites(g: Graph) -> list[BalanceSite]:
     """All valid balance sites over recognizable cliques, sorted by anchors."""
-    if not is_connected(g):
-        return []
     decomp = blocks(g)
     candidates: list[tuple[int, ...]] = []
     big = [b for b in decomp.blocks if len(b) >= 3]
@@ -396,7 +404,7 @@ def shrink_girth_to_3(g: Graph, site: ShrinkSite) -> Graph:
     and rebuilt as a maximal path ending in a triangle, exactly mirroring
     the comparison that proves the strict increase in total eccentricity.
     """
-    _require(is_connected(g), "shrink site requires a connected graph")
+    _require_connected(g)
     u, p = site.attach, site.pendant
     _require(g.has_edge(u, p), "attach vertex and pendant must be adjacent")
     tad = next(comp for comp in components_without(g.adj, u) if comp >> p & 1)
@@ -429,8 +437,7 @@ def _tadpole_order(g: Graph, tad: int, p: int) -> tuple[list[int], int] | None:
 
 def shrink_sites(g: Graph) -> list[ShrinkSite]:
     """All valid tadpole-shrinking sites, sorted by (attach, pendant)."""
-    if not is_connected(g):
-        return []
+    _require_connected(g)
     sites = []
     # The tadpole is a component of g - attach that attach meets in one
     # neighbour, the pendant: the edge between them is then a bridge.

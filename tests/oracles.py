@@ -6,6 +6,7 @@ from typing import Iterator, Sequence
 from totecc.canon import canon
 from totecc.enumeration import Gens, Parts, _extend, _is_cut
 from totecc.graph import (
+    BlockDecomposition,
     DisconnectedGraphError,
     Graph,
     _reach,
@@ -28,6 +29,15 @@ def _is_cut_vertex(adj: Sequence[int], v: int) -> bool:
     Needs at least two vertices: the search starts at a vertex other than v.
     """
     return _reach(adj, 1 if v == 0 else 0, 1 << v).bit_count() != len(adj) - 1
+
+
+def block_graph(decomp: BlockDecomposition) -> Graph | None:
+    """Blocks joined when they share a vertex; None when there are no blocks (one vertex)."""
+    b = decomp.blocks
+    if not b:
+        return None
+    # Two blocks share at most one vertex, and a shared vertex is a cut vertex.
+    return Graph.from_edges(len(b), [(i, j) for i, j in combinations(range(len(b)), 2) if b[i] & b[j]])
 
 
 def cut_vertices_by_deletion(g: Graph) -> frozenset[int]:

@@ -168,6 +168,24 @@ class TestRewrite:
         code, _, err = run(capsys, "rewrite", "graft", "--graph6", g6)
         assert code == 2 and "no valid" in err
 
+    @pytest.mark.parametrize(
+        "kind",
+        [
+            "add-edge",
+            "graft",
+            "relocate",
+            "block-to-cycle",
+            "merge-cycles",
+            "balance-paths",
+            "shrink-girth",
+        ],
+    )
+    @pytest.mark.parametrize("how", [["--list-sites"], ["--site-index", "0"]])
+    def test_disconnected_graph_is_an_error(self, capsys, kind, how):
+        # the path 2-1-0-3-4-5 plus a separate edge 6-7
+        code, out, err = run(capsys, "rewrite", kind, "--graph6", "GkCG?C", *how)
+        assert (code, out, err) == (2, "", "error: invariant requires a connected graph\n")
+
     def test_merge_sites_keep_block_member_order(self, capsys):
         # frozenset iteration order follows how the DFS filled each block
         code, out, _ = run(

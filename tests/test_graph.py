@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import cut_vertices_by_deletion, distance_matrix
+from oracles import block_graph, cut_vertices_by_deletion, distance_matrix
 from totecc import families
 from totecc import graph as graph_module
 from totecc.canon import canonical_form
@@ -330,7 +330,7 @@ class TestBlocks:
         assert len(d.blocks) == 4
         sizes = sorted(len(b) for b in d.blocks)
         assert sizes == [2, 2, 3, 3]
-        assert canonical_form(d.block_graph) == canonical_form(families.path(4))
+        assert canonical_form(block_graph(d)) == canonical_form(families.path(4))
 
     def test_complete_one_block(self):
         d = blocks(families.complete(6))
@@ -341,11 +341,11 @@ class TestBlocks:
         d = blocks(families.path(n))
         assert len(d.blocks) == n - 1
         if n >= 3:
-            assert canonical_form(d.block_graph) == canonical_form(families.path(n - 1))
+            assert canonical_form(block_graph(d)) == canonical_form(families.path(n - 1))
 
     def test_single_vertex(self):
         d = blocks(Graph(1, (0,)))
-        assert d.blocks == () and d.block_graph is None
+        assert d.blocks == () and block_graph(d) is None
 
     def test_edge_partition_and_cut_consistency(self):
         for n in range(2, 7):

@@ -23,9 +23,17 @@ from oracles import (
     shrink_girth_to_3_by_edge,
     shrink_sites_by_edge,
 )
-from totecc import families, transforms
+from totecc import families, graph6, transforms
 from totecc.canon import canonical_form
-from totecc.graph import Graph, bits, blocks, eccentricities, is_connected, total_eccentricity
+from totecc.graph import (
+    DisconnectedGraphError,
+    Graph,
+    bits,
+    blocks,
+    eccentricities,
+    is_connected,
+    total_eccentricity,
+)
 from totecc.transforms import (
     BalanceSite,
     GraftSite,
@@ -34,6 +42,7 @@ from totecc.transforms import (
     RelocateSite,
     ShrinkSite,
     add_edge,
+    add_edge_sites,
     balance_paths,
     balance_sites,
     block_cycle_sites,
@@ -462,15 +471,16 @@ def _lister_inputs():
 
 def test_listers_match_set_and_edge_oracles():
     # the CLI prints repr(site), so the sites must agree down to the
-    # iteration order of every side's frozenset
+    # iteration order of every side's frozenset; the oracles list no site
+    # on a disconnected graph, where the listers raise
     for g in _lister_inputs():
+        if not is_connected(g):
+            continue
         sites, expected = relocate_sites(g), relocate_sites_by_sets(g)
         assert repr(sites) == repr(expected), g
         for site, old in zip(sites, expected):
             assert relocate_path(g, site) == relocate_path(g, old), g
         assert repr(shrink_sites(g)) == repr(shrink_sites_by_edge(g)), g
-        if not is_connected(g):
-            continue
         # every ordered edge as a site, valid or not: the same graph or error
         for u, v in g.edges():
             for site in (ShrinkSite(u, v), ShrinkSite(v, u)):
@@ -499,3 +509,54 @@ def test_walkers_match_oracle_walkers():
             for v in block:
                 assert transforms._cycle_walk(g, transforms._mask(block), v) == _cycle_walk(g, block, v)
     assert cycles >= 300
+
+
+def test_add_edge_sites_are_the_non_adjacent_pairs():
+    for g in _lister_inputs():
+        if is_connected(g):
+            pairs = [(u, v) for u in range(g.n) for v in range(u + 1, g.n) if not g.has_edge(u, v)]
+            assert add_edge_sites(g) == pairs, g
+
+
+# The path 2-1-0-3-4-5 plus a separate edge 6-7.
+DISCONNECTED = graph6.decode("GkCG?C")
+
+# (lister, rewrite, sites that fit the path component or that no graph has)
+_KINDS = (
+    (add_edge_sites, lambda g, s: add_edge(g, *s), [(2, 5), (0, 6), (0, 0), (0, 8)]),
+    (graft_sites, graft_edge, [GraftSite(0, (1, 2), (3, 4, 5)), GraftSite(6, (7,), (7,))]),
+    (
+        relocate_sites,
+        relocate_path,
+        [RelocateSite(0, (1, 2), frozenset({3, 4, 5})), RelocateSite(9, (), frozenset())],
+    ),
+    (block_cycle_sites, block_to_cycle, [0, 4, -1, 99]),
+    (merge_sites, merge_cycles, [MergeCyclesSite(0, frozenset({0, 1, 2}), frozenset({0, 3, 4}))]),
+    (balance_sites, balance_paths, [BalanceSite((0, 1), 0, 1), BalanceSite((6, 7), 0, 1)]),
+    (shrink_sites, shrink_girth_to_3, [ShrinkSite(0, 3), ShrinkSite(6, 7), ShrinkSite(0, 9)]),
+)
+
+
+@pytest.mark.parametrize("lister", [kind[0] for kind in _KINDS], ids=lambda f: f.__name__)
+def test_listers_reject_a_disconnected_graph(lister):
+    with pytest.raises(DisconnectedGraphError, match="^invariant requires a connected graph$"):
+        lister(DISCONNECTED)
+
+
+def test_rewrites_reject_a_disconnected_graph_whatever_the_site():
+    checked = 0
+    for _, rewrite, sites in _KINDS:
+        for site in sites:
+            with pytest.raises(DisconnectedGraphError, match="^invariant requires a connected graph$"):
+                rewrite(DISCONNECTED, site)
+            checked += 1
+    # and every site listed on a connected graph of the same order
+    for g in _lister_inputs():
+        if g.n != DISCONNECTED.n or not is_connected(g):
+            continue
+        for lister, rewrite, _ in _KINDS:
+            for site in lister(g):
+                with pytest.raises(DisconnectedGraphError):
+                    rewrite(DISCONNECTED, site)
+                checked += 1
+    assert checked >= 500
