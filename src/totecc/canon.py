@@ -16,8 +16,9 @@ the hard cap is n <= 64.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
-from .graph import Graph, bits
+from .graph import Graph, _relabel_rows, bits
 
 MAX_CANON_VERTICES = 64
 
@@ -53,6 +54,12 @@ class _UnionFind:
             if rb < ra:
                 ra, rb = rb, ra
             self.parent[rb] = ra
+
+    def absorb(self, gamma: Sequence[int]) -> None:
+        """Union every vertex that the permutation ``gamma`` moves with its image."""
+        for v, w in enumerate(gamma):
+            if v != w:
+                self.union(v, w)
 
 
 def _refine(adj: tuple[int, ...], cells: list[int], splitters: list[int]) -> list[int]:
@@ -108,22 +115,6 @@ def _refine(adj: tuple[int, ...], cells: list[int], splitters: list[int]) -> lis
     return cells
 
 
-def _leaf_code(n: int, adj: tuple[int, ...], perm: tuple[int, ...], nbytes: int) -> bytes:
-    pos = [0] * n
-    for i, v in enumerate(perm):
-        pos[v] = i
-    chunks = []
-    for v in perm:
-        row = 0
-        m = adj[v]
-        while m:
-            low = m & -m
-            row |= 1 << pos[low.bit_length() - 1]
-            m ^= low
-        chunks.append(row.to_bytes(nbytes, "big"))
-    return b"".join(chunks)
-
-
 def canon(g: Graph, initial: list[int] | None = None) -> CanonResult:
     """Run the full canonical search on ``g``.
 
@@ -134,34 +125,28 @@ def canon(g: Graph, initial: list[int] | None = None) -> CanonResult:
     if n > MAX_CANON_VERTICES:
         raise ValueError(f"canonical labeling supports n <= {MAX_CANON_VERTICES}, got {n}")
     adj = g.adj
-    nbytes = (n + 7) // 8
-
     full = (1 << n) - 1
-    best_code: bytes | None = None
-    best_perm: tuple[int, ...] | None = None
+    # The greatest leaf so far: its relabeled rows and the labeling behind them.
+    best: tuple[tuple[int, ...], tuple[int, ...]] | None = None
     gens: list[tuple[int, ...]] = []
     uf = _UnionFind(n)
 
     def search(cells: list[int], path: list[int]) -> None:
-        nonlocal best_code, best_perm
+        nonlocal best
         # Leaf: partition discrete.
         if len(cells) == n:
             perm = tuple(cell.bit_length() - 1 for cell in cells)
-            code = _leaf_code(n, adj, perm, nbytes)
-            if best_code is None or code > best_code:
-                best_code = code
-                best_perm = perm
-            elif code == best_code:
-                if best_perm is None:
-                    raise RuntimeError("canon: a leaf tied with no stored best leaf")
+            rows = _relabel_rows(adj, perm)
+            if best is None or rows > best[0]:
+                best = rows, perm
+            elif rows == best[0]:
+                # Not the identity: the paths first pick different vertices of
+                # one cell, and cells split only in place, so both sit at one position.
                 gamma = [0] * n
-                for bp, p in zip(best_perm, perm):
+                for bp, p in zip(best[1], perm):
                     gamma[bp] = p
-                if any(gamma[v] != v for v in range(n)):
-                    gens.append(tuple(gamma))
-                    for v in range(n):
-                        if gamma[v] != v:
-                            uf.union(v, gamma[v])
+                gens.append(tuple(gamma))
+                uf.absorb(gamma)
             return
 
         # Target cell: smallest non-singleton, earliest position on ties.
@@ -188,21 +173,13 @@ def canon(g: Graph, initial: list[int] | None = None) -> CanonResult:
                     if all(gamma[x] == x for x in path):
                         if puf is None:
                             puf = _UnionFind(n)
-                        for x in range(n):
-                            if gamma[x] != x:
-                                puf.union(x, gamma[x])
+                        puf.absorb(gamma)
                 merged = len(gens)
                 if puf is not None and any(puf.find(v) == puf.find(u) for u in tried):
                     continue
             tried.append(v)
             vbit = 1 << v
-            child = []
-            for i, cell in enumerate(cells):
-                if i == target_idx:
-                    child.append(vbit)
-                    child.append(cell ^ vbit)
-                else:
-                    child.append(cell)
+            child = cells[:target_idx] + [vbit, target ^ vbit] + cells[target_idx + 1 :]
             # {v} is the only splitter.  ``cells`` came out of _refine, so
             # it is equitable: every cell counts constantly into target,
             # and after the {v} pass into target - v as well, so the
@@ -215,12 +192,14 @@ def canon(g: Graph, initial: list[int] | None = None) -> CanonResult:
     if initial is None:
         initial = _refine(adj, [full], [full])
     search(initial, [])
-    if best_code is None or best_perm is None:
+    if best is None:
         raise RuntimeError("canon: the search reached no leaf")
 
+    # Each row packed in fixed width, so bytes order is the rows' tuple order.
+    nbytes = (n + 7) // 8
+    form = n.to_bytes(2, "big") + b"".join(row.to_bytes(nbytes, "big") for row in best[0])
     orbit = tuple(uf.find(v) for v in range(n))
-    form = n.to_bytes(2, "big") + best_code
-    return CanonResult(form, best_perm, orbit, tuple(gens))
+    return CanonResult(form, best[1], orbit, tuple(gens))
 
 
 def canonical_form(g: Graph) -> bytes:

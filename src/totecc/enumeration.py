@@ -207,10 +207,7 @@ def _accept(
     if last and cand == 1 << k:
         return child, None
     res = canon(child, initial)
-    pos = [0] * (k + 1)
-    for i, v in enumerate(res.labeling):
-        pos[v] = i
-    deletion = max(bits(cand), key=pos.__getitem__)
+    deletion = max(bits(cand), key=res.labeling.index)
     return (child if res.orbits[k] == res.orbits[deletion] else None), res.generators
 
 

@@ -106,17 +106,27 @@ class Graph:
         return sum(row.bit_count() for row in self.adj) // 2
 
     def relabel(self, perm: tuple[int, ...]) -> "Graph":
-        """Return the graph with vertex ``perm[i]`` renamed to ``i``."""
-        pos = [0] * self.n
-        for i, v in enumerate(perm):
-            pos[v] = i
-        rows = [0] * self.n
-        for i, v in enumerate(perm):
-            row = 0
-            for u in bits(self.adj[v]):
-                row |= 1 << pos[u]
-            rows[i] = row
-        return Graph(self.n, tuple(rows))
+        """The graph with vertex ``perm[i]`` renamed to ``i``; ValueError unless a permutation."""
+        if sorted(perm) != list(range(self.n)):
+            raise ValueError(f"relabel needs a permutation of 0..{self.n - 1}, got {tuple(perm)}")
+        return Graph(self.n, _relabel_rows(self.adj, perm))
+
+
+def _relabel_rows(adj: Sequence[int], perm: Sequence[int]) -> tuple[int, ...]:
+    """The rows with vertex ``perm[i]`` renamed to ``i``, in new order; ``perm`` is unchecked."""
+    pos = [0] * len(adj)
+    for i, v in enumerate(perm):
+        pos[v] = i
+    rows = []
+    for v in perm:
+        row = 0
+        m = adj[v]
+        while m:  # bits() inlined: canon runs this at every leaf
+            low = m & -m
+            row |= 1 << pos[low.bit_length() - 1]
+            m ^= low
+        rows.append(row)
+    return tuple(rows)
 
 
 def path_edges(vs: Sequence[int]) -> list[tuple[int, int]]:

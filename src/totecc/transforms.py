@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable
 
-from .graph import Graph, bits, blocks, components_without, cycle_edges, is_connected, path_edges
+from .graph import Graph, bits, blocks, components_without, cycle_edges, path_edges
 from .graph import _require_connected
 
 
@@ -37,6 +37,10 @@ class InvalidSiteError(ValueError):
 def _require(cond: bool, msg: str) -> None:
     if not cond:
         raise InvalidSiteError(msg)
+
+
+def _require_vertices(g: Graph, vs: Iterable[int]) -> None:
+    _require(all(0 <= v < g.n for v in vs), f"site names a vertex outside 0..{g.n - 1}")
 
 
 def _rewire(g: Graph, drop: Iterable[tuple[int, int]], add: Iterable[tuple[int, int]]) -> Graph:
@@ -71,8 +75,7 @@ def _walk(adj: tuple[int, ...], inside: int, prev: int, cur: int) -> list[int]:
 def add_edge(g: Graph, u: int, v: int) -> Graph:
     """Join two non-adjacent vertices; total eccentricity can only drop."""
     _require_connected(g)
-    if not (0 <= u < g.n and 0 <= v < g.n):
-        raise ValueError(f"vertex out of range for n={g.n}")
+    _require_vertices(g, (u, v))
     _require(u != v, "cannot add a self-loop")
     _require(not g.has_edge(u, v), f"vertices {u} and {v} are already adjacent")
     return _rewire(g, (), ((u, v),))
@@ -108,6 +111,7 @@ def graft_edge(g: Graph, site: GraftSite) -> Graph:
     """
     _require_connected(g)
     h, short, long_ = site.hub, site.short_path, site.long_path
+    _require_vertices(g, (h, *short, *long_))
     k, l = len(short), len(long_)
     _require(k >= 1, "short path must have length >= 1")
     _require(k <= l, "short path must not be longer than the long path")
@@ -167,20 +171,22 @@ def relocate_path(g: Graph, site: RelocateSite) -> Graph:
     """
     _require_connected(g)
     c, p, side = site.center, site.path, site.side
+    _require_vertices(g, (c, *p, *side))
     _require(len(p) >= 1, "path must contribute at least one vertex")
     _require(
         g.has_edge(c, p[0]) and _dangling_path(g, c, p[0]) == p,
         "path is not a dangling path at the center",
     )
-    rest = set(range(g.n)) - {c} - set(p) - side
-    _require(side and rest, "both sides must be nonempty")
-    _require(c not in side and not (side & set(p)), "side overlaps center or path")
-    for v in side:
-        _require(not (g.adj[v] & _mask(rest)), "side and remainder are joined away from the center")
-    moved = sorted(rest & set(bits(g.adj[c])))
-    out = _rewire(g, [(c, h) for h in moved], [(p[-1], h) for h in moved])
-    _require(is_connected(out), "site did not split at the center as required")
-    return out
+    # The components of g - c but the path's: disjoint masks, so a sum is a union.
+    others = [comp for comp in components_without(g.adj, c) if not comp >> p[0] & 1]
+    side_mask = _mask(side)
+    chosen = [comp for comp in others if comp & side_mask]
+    _require(
+        0 < len(chosen) < len(others) and sum(chosen) == side_mask,
+        "side must be some, but not all, of the other components at the center",
+    )
+    moved = list(bits(g.adj[c] & (sum(others) ^ side_mask)))
+    return _rewire(g, [(c, h) for h in moved], [(p[-1], h) for h in moved])
 
 
 def _mask(vs) -> int:
@@ -276,6 +282,7 @@ def merge_cycles(g: Graph, site: MergeCyclesSite) -> Graph:
     """
     decomp = blocks(g)
     w, ca, cb = site.shared, site.cycle_a, site.cycle_b
+    _require_vertices(g, (w, *ca, *cb))
     _require(ca in decomp.blocks and cb in decomp.blocks, "anchors are not blocks of the graph")
     _require(ca != cb, "the two cycles must be distinct blocks")
     _require(w in ca and w in cb, "shared vertex must lie in both cycles")
@@ -347,6 +354,7 @@ def balance_paths(g: Graph, site: BalanceSite) -> Graph:
     paths).
     """
     _require_connected(g)
+    _require_vertices(g, site.clique)
     paths = _kmn_profile(g, site.clique)
     m = len(paths)
     _require(0 <= site.donor < m and 0 <= site.receiver < m, "path index out of range")
@@ -406,6 +414,7 @@ def shrink_girth_to_3(g: Graph, site: ShrinkSite) -> Graph:
     """
     _require_connected(g)
     u, p = site.attach, site.pendant
+    _require_vertices(g, (u, p))
     _require(g.has_edge(u, p), "attach vertex and pendant must be adjacent")
     tad = next(comp for comp in components_without(g.adj, u) if comp >> p & 1)
     _require(g.adj[u] & tad == 1 << p, "edge between host and tadpole must be a bridge")

@@ -113,6 +113,37 @@ def refine_reference(adj: tuple[int, ...], cells: list[int], splitters: list[int
     return cells
 
 
+def leaf_code(n: int, adj: tuple[int, ...], perm: tuple[int, ...], nbytes: int) -> bytes:
+    """canon's leaf code as it was: the relabeled rows, each packed in ``nbytes`` big-endian bytes."""
+    pos = [0] * n
+    for i, v in enumerate(perm):
+        pos[v] = i
+    chunks = []
+    for v in perm:
+        row = 0
+        m = adj[v]
+        while m:
+            low = m & -m
+            row |= 1 << pos[low.bit_length() - 1]
+            m ^= low
+        chunks.append(row.to_bytes(nbytes, "big"))
+    return b"".join(chunks)
+
+
+def relabel_by_positions(g: Graph, perm: tuple[int, ...]) -> Graph:
+    """Graph.relabel as it was: vertex ``perm[i]`` renamed to ``i``, with no permutation check."""
+    pos = [0] * g.n
+    for i, v in enumerate(perm):
+        pos[v] = i
+    rows = [0] * g.n
+    for i, v in enumerate(perm):
+        row = 0
+        for u in bits(g.adj[v]):
+            row |= 1 << pos[u]
+        rows[i] = row
+    return Graph(g.n, tuple(rows))
+
+
 def accept_reference(child: Graph, last: bool, parts: Parts) -> tuple[bool, Gens | None]:
     """enumeration._accept as it was: the degree step read from the built child.
 

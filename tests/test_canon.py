@@ -6,11 +6,10 @@ import random
 
 import pytest
 
-from oracles import labeled_graphs, refine_reference
+from oracles import labeled_graphs, leaf_code, refine_reference
 from totecc import families
 from totecc.canon import (
     CanonResult,
-    _leaf_code,
     _refine,
     _UnionFind,
     automorphism_orbits,
@@ -134,6 +133,36 @@ def test_size_cap():
         canonical_form(families.path(65))
 
 
+def test_leaf_rows_order_as_their_byte_code():
+    # canon compares leaves as row tuples and packs the greatest into the
+    # form; the oracle byte code (identity perm, so the rows as they are)
+    # orders every pair the same way
+    rng = random.Random(31)
+    for _ in range(1000):
+        n = rng.randrange(1, 65)
+        nbytes = (n + 7) // 8
+        a = tuple(rng.getrandbits(n) for _ in range(n))
+        # share a random prefix, so that most pairs tie for a while
+        cut = rng.randrange(n + 1)
+        b = a[:cut] + tuple(rng.getrandbits(n) for _ in range(n - cut))
+        ident = tuple(range(n))
+        code_a, code_b = leaf_code(n, a, ident, nbytes), leaf_code(n, b, ident, nbytes)
+        assert (a < b, a == b, a > b) == (code_a < code_b, code_a == code_b, code_a > code_b)
+
+
+def test_no_generator_is_the_identity():
+    graphs = [g for n in range(1, 9) for g in connected_graph_list(n)]
+    graphs += [families.complete(n) for n in range(1, 12)]
+    graphs += [families.cycle(n) for n in range(3, 25)]
+    graphs += [families.star(n) for n in range(2, 16)]
+    found = 0
+    for g in graphs:
+        for gamma in canon(g).generators:
+            assert gamma != tuple(range(g.n)), g
+            found += 1
+    assert found > 10000
+
+
 def canon_rebuild_per_sibling(g: Graph) -> CanonResult:
     """canon as it was before the per-node union-find: the oracle for it.
 
@@ -151,7 +180,7 @@ def canon_rebuild_per_sibling(g: Graph) -> CanonResult:
         nonlocal best_code, best_perm
         if len(cells) == n:
             perm = tuple(cell.bit_length() - 1 for cell in cells)
-            code = _leaf_code(n, adj, perm, nbytes)
+            code = leaf_code(n, adj, perm, nbytes)
             if best_code is None or code > best_code:
                 best_code, best_perm = code, perm
             elif code == best_code:

@@ -1,10 +1,11 @@
 """Exact invariants on small graphs, checked against hand-derived values."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
-from oracles import block_graph, cut_vertices_by_deletion, distance_matrix
+from oracles import block_graph, cut_vertices_by_deletion, distance_matrix, relabel_by_positions
 from totecc import families
 from totecc import graph as graph_module
 from totecc.canon import canonical_form
@@ -65,6 +66,23 @@ class TestGraphType:
     def test_relabel_identity(self):
         g = families.star(5)
         assert g.relabel((0, 1, 2, 3, 4)) == g
+
+    def test_relabel_matches_position_oracle(self):
+        rng = random.Random(17)
+        for _ in range(300):
+            n = rng.randrange(1, 31)
+            p = rng.random()
+            edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+            g = Graph.from_edges(n, edges)
+            perm = list(range(n))
+            rng.shuffle(perm)
+            assert g.relabel(tuple(perm)) == relabel_by_positions(g, tuple(perm)), (g, perm)
+
+    @pytest.mark.parametrize("perm", [(0, 0, 1), (0, 1), (0, 1, 2, 3), (2, 1, 5)])
+    def test_relabel_rejects_a_non_permutation(self, perm):
+        # a repeated vertex, too few entries, too many, an id past n - 1
+        with pytest.raises(ValueError, match="^relabel needs a permutation of 0..2, got "):
+            families.path(3).relabel(perm)
 
 
 class TestBfsLevels:

@@ -560,3 +560,30 @@ def test_rewrites_reject_a_disconnected_graph_whatever_the_site():
                     rewrite(DISCONNECTED, site)
                 checked += 1
     assert checked >= 500
+
+
+# Sites naming a vertex outside 0..n-1.  Unchecked, such an id indexes past
+# the rows, shifts by a negative count, or passes as a Python negative index.
+_OUT_OF_RANGE = [
+    (relocate_path, RelocateSite(0, (1,), frozenset({-1}))),
+    (relocate_path, RelocateSite(0, (1,), frozenset({9}))),
+    (relocate_path, RelocateSite(9, (1,), frozenset({2}))),
+    (graft_edge, GraftSite(9, (1,), (2,))),
+    (graft_edge, GraftSite(-5, (1,), (2,))),
+    (graft_edge, GraftSite(0, (1,), (2, 7))),
+    (shrink_girth_to_3, ShrinkSite(9, 1)),
+    (shrink_girth_to_3, ShrinkSite(0, -1)),
+    (merge_cycles, MergeCyclesSite(9, frozenset({0, 1, 2}), frozenset({0, 3, 4}))),
+    (merge_cycles, MergeCyclesSite(0, frozenset({0, 1, 2}), frozenset({0, 3, -1}))),
+    (balance_paths, BalanceSite((-5, 1), 0, 1)),
+    (balance_paths, BalanceSite((0, 5), 0, 1)),
+    (lambda g, s: add_edge(g, *s), (0, 5)),
+    (lambda g, s: add_edge(g, *s), (-1, 2)),
+]
+
+
+@pytest.mark.parametrize("g", [families.star(5), families.path(5)], ids=["star5", "path5"])
+@pytest.mark.parametrize("rewrite, site", _OUT_OF_RANGE)
+def test_rewrites_reject_vertices_outside_the_graph(g, rewrite, site):
+    with pytest.raises(InvalidSiteError, match=r"^site names a vertex outside 0\.\.4$"):
+        rewrite(g, site)
