@@ -152,7 +152,8 @@ def _subtree_lines(
     root: enumeration.Root, n: int, constraint: extremal.ClassConstraint
 ) -> list[str]:
     """graph6 lines of the class members in one subtree of the stream."""
-    return [graph6.encode(g) for g in filter_graphs(enumeration.subtree(root, n), constraint)]
+    graphs = (g for g, _ in enumeration.subtree(root, n))
+    return [graph6.encode(g) for g in filter_graphs(graphs, constraint)]
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:

@@ -13,7 +13,9 @@ The stream splits at one level: roots(n) lists its graphs of order
 min(n, 6) in stream order, subtree(root, n) yields the order-n graphs
 below one root, and connected_graphs(n) chains the subtrees in root
 order.  Subtrees processed apart and joined in root order give the
-stream exactly.
+stream exactly.  Roots and subtrees hand out each graph with its number
+of cut vertices, found where the graph is accepted (see _grow), so a
+consumer that needs the count runs no cut-vertex search.
 
 Most children are decided without the canon search tree (McKay, J.
 Algorithms 26, 1998), and most before they are built.  The deletion
@@ -60,8 +62,9 @@ _K1 = Graph(1, (0,))
 
 #: Automorphism generators as canon returns them, one image tuple each.
 Gens = tuple[tuple[int, ...], ...]
-#: A graph of the stream with its generators, None where canon was skipped.
-Root = tuple[Graph, Gens | None]
+#: A graph of the stream with its generators (None where canon was
+#: skipped) and its number of cut vertices.
+Root = tuple[Graph, Gens | None, int]
 #: For each vertex v of a graph, the components of the graph less v.
 Parts = tuple[tuple[int, ...], ...]
 
@@ -211,15 +214,16 @@ def _accept(
     return (child if res.orbits[k] == res.orbits[deletion] else None), res.generators
 
 
-def _grow(g: Graph, gens: Gens | None, level: int, n: int) -> Iterator[Root]:
+def _grow(g: Graph, gens: Gens | None, cuts: int, level: int, n: int) -> Iterator[Root]:
     """The stream's graphs of order ``level`` below ``g``, with their generators.
 
-    ``n`` is the final order the caller asked for, which may exceed
-    ``level``: graphs of order n come with None generators where _accept
-    skipped canon, and no other graph does.
+    ``cuts`` is g's number of cut vertices.  ``n`` is the final order the
+    caller asked for, which may exceed ``level``: graphs of order n come
+    with None generators where _accept skipped canon, and no other graph
+    does.
     """
     if g.n == level:
-        yield g, gens
+        yield g, gens, cuts
         return
     parts = _parts(g)
     deg = [row.bit_count() for row in g.adj]
@@ -229,7 +233,9 @@ def _grow(g: Graph, gens: Gens | None, level: int, n: int) -> Iterator[Root]:
     for mask in _subset_orbit_reps(g.n, gens, low):
         child, child_gens = _accept(g, deg, parts, mask, last)
         if child is not None:
-            yield from _grow(child, child_gens, level, n)
+            # the new vertex is never a cut vertex of the child (see _accept)
+            child_cuts = sum(_is_cut(comps, mask) for comps in parts)
+            yield from _grow(child, child_gens, child_cuts, level, n)
 
 
 def check_order(n: int, allow_large: bool = False) -> None:
@@ -244,25 +250,33 @@ def roots(n: int, allow_large: bool = False) -> list[Root]:
     check_order(n, allow_large)
     # Pass n, not the root level, as the final order: roots below n are
     # extended further and need their generators.
-    return list(_grow(_K1, (), min(n, _ROOT_LEVEL), n))
+    return list(_grow(_K1, (), 0, min(n, _ROOT_LEVEL), n))
 
 
-def subtree(root: Root, n: int) -> Iterator[Graph]:
-    """The order-n graphs of the stream below one of roots(n), in stream order."""
-    g, gens = root
+def subtree(root: Root, n: int) -> Iterator[tuple[Graph, int]]:
+    """The order-n graphs of the stream below one of roots(n), in stream order.
+
+    Each comes with its number of cut vertices.
+    """
+    g, gens, cuts = root
     # A root below order n must carry the generators roots(n) gives it.
     if g.n != min(n, _ROOT_LEVEL) or gens is None and g.n < n:
         raise ValueError(f"not one of roots({n})")
-    return (child for child, _ in _grow(g, gens, n, n))
+    return ((child, c) for child, _, c in _grow(g, gens, cuts, n, n))
 
 
 def connected_graphs(n: int, *, allow_large: bool = False) -> Iterator[Graph]:
     """Exactly one representative per isomorphism class: roots(n)'s subtrees in order."""
     for root in roots(n, allow_large):
-        yield from subtree(root, n)
+        for g, _ in subtree(root, n):
+            yield g
 
 
 @lru_cache(maxsize=None)
 def connected_graph_list(n: int) -> tuple[Graph, ...]:
-    """Cached full list of class representatives (reused by searches)."""
+    """Cached full list of class representatives, for callers that reuse it.
+
+    It holds every class of order n at once; the extremal search folds
+    the stream instead and never fills this cache.
+    """
     return tuple(connected_graphs(n))

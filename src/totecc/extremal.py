@@ -5,17 +5,20 @@ invariant that gives its parameter), is the one definition of class
 membership.  _classes(g) reads from it the (kind, parameter) key of every
 class a connected graph is in; filter_graphs asks _classes for one kind,
 so it computes only that kind's parameter.  _fold(n) passes once over the
-order-n representatives and files each graph under every key of its
-classes, by its total eccentricity, so an extremum over a class is the
-least or greatest total in its buckets and that bucket is the complete
-witness list up to isomorphism.  Each theorem is a table row: the orders
-and parameters it covers, and for each parameter one or more statements
-(class, objective, predicted extremum and extremal graphs), all checked
-by _check into Verdict records.  Uniqueness is asserted only where the
-source states an equivalence ("if and only if" / "uniquely"), otherwise
-only witness membership is required and the observed witness set is
-reported for inspection.  A conjecture violation is a reportable
-finding, never an exception.
+order-n stream, subtree by subtree, and keeps for every key one _Extrema
+record: the class's member count, and its least and greatest total
+eccentricity, each with the graphs attaining it.  So an extremum over a
+class and its complete witness list up to isomorphism are read off one
+record, and the fold never holds the class list.  The stream supplies
+each graph's cut-vertex count, so the fold runs no cut-vertex search.
+Each theorem is a table row: the orders and parameters it covers, and
+for each parameter one or more statements (class, objective, predicted
+extremum and extremal graphs), all checked by _check into Verdict
+records.  Uniqueness is asserted only where the source states an
+equivalence ("if and only if" / "uniquely"), otherwise only witness
+membership is required and the observed witness set is reported for
+inspection.  A conjecture violation is a reportable finding, never an
+exception.
 """
 
 from __future__ import annotations
@@ -26,7 +29,9 @@ from typing import Callable, Iterable, Iterator, NamedTuple
 
 from . import families, formulas, graph6
 from .canon import canonical_graph
-from .enumeration import MAX_EXHAUSTIVE, connected_graph_list
+# connected_graph_list is unused here but stays bound: perfbench/spans.py
+# wraps it by this module's name.
+from .enumeration import MAX_EXHAUSTIVE, connected_graph_list, roots, subtree
 from .graph import Graph, cut_vertices, girth, pendant_vertices, total_eccentricity
 
 PASS = "pass"
@@ -47,13 +52,17 @@ def _pendant_count(g: Graph) -> int:
     return len(pendant_vertices(g))
 
 
+def _cut_count(g: Graph) -> int:
+    return len(cut_vertices(g))
+
+
 # Each class kind.  The parameter functions look their invariant up at call
 # time, so a wrapper bound to this module's name (a call counter) sees every
 # call.  The two pendant kinds share one function, which _classes runs once.
 _KINDS = {
     "all": _Kind(None, None),
     "pendant_count": _Kind(None, _pendant_count),
-    "cut_count": _Kind(None, lambda g: len(cut_vertices(g))),
+    "cut_count": _Kind(None, _cut_count),
     "tree": _Kind(-1, None),
     "tree_with_pendants": _Kind(-1, _pendant_count),
     "unicyclic": _Kind(0, None),
@@ -102,15 +111,20 @@ def parse_constraint(text: str) -> ClassConstraint:
     return ClassConstraint(t)
 
 
-def _classes(g: Graph, kinds: Iterable[str] = _KINDS) -> list[tuple[str, int | None]]:
+def _classes(
+    g: Graph, kinds: Iterable[str] = _KINDS, cuts: int | None = None
+) -> list[tuple[str, int | None]]:
     """The (kind, parameter) key of every class of the given kinds that g is in.
 
     g is connected; only the parameters of the kinds asked for are computed,
-    each once.
+    each once.  ``cuts``, when given, is g's number of cut vertices, taken
+    as its ``cut_count`` parameter in place of a search.
     """
     excess = g.edge_count - g.n
     keys = []
     values: dict[Callable[[Graph], int | None] | None, int | None] = {None: None}
+    if cuts is not None:
+        values[_cut_count] = cuts
     for kind in kinds:
         needs, param = _KINDS[kind]
         if needs is None or needs == excess:
@@ -120,20 +134,47 @@ def _classes(g: Graph, kinds: Iterable[str] = _KINDS) -> list[tuple[str, int | N
     return keys
 
 
+@dataclass
+class _Extrema:
+    """One class at one order: its member count, and its least and greatest
+    totals, each with the members attaining it in stream order."""
+
+    count: int
+    low: int
+    lows: list[Graph]
+    high: int
+    highs: list[Graph]
+
+    def add(self, g: Graph, eps: int) -> None:
+        self.count += 1
+        if eps < self.low:
+            self.low, self.lows = eps, [g]
+        elif eps == self.low:
+            self.lows.append(g)
+        if eps > self.high:
+            self.high, self.highs = eps, [g]
+        elif eps == self.high:
+            self.highs.append(g)
+
+
 @lru_cache(maxsize=None)
-def _fold(n: int) -> dict[tuple[str, int | None], dict[int, list[Graph]]]:
-    """Order-n representatives by class key, then by total, in stream order."""
-    fold: dict[tuple[str, int | None], dict[int, list[Graph]]] = {}
-    for g in connected_graph_list(n):
-        eps = total_eccentricity(g)
-        for key in _classes(g):
-            fold.setdefault(key, {}).setdefault(eps, []).append(g)
+def _fold(n: int) -> dict[tuple[str, int | None], _Extrema]:
+    """The extrema of every class with members at order n, by class key."""
+    fold: dict[tuple[str, int | None], _Extrema] = {}
+    for root in roots(n):
+        # Each subtree is listed before it is folded: folding graph by graph
+        # as the stream yields them was slower at n = 8 (0.80 against 0.77 s,
+        # median of ten interleaved runs), and one subtree is a small part
+        # of the class list.
+        for g, cuts in list(subtree(root, n)):
+            eps = total_eccentricity(g)
+            for key in _classes(g, cuts=cuts):
+                record = fold.get(key)
+                if record is None:
+                    fold[key] = _Extrema(1, eps, [g], eps, [g])
+                else:
+                    record.add(g, eps)
     return fold
-
-
-def _buckets(n: int, constraint: ClassConstraint) -> dict[int, list[Graph]]:
-    """The class's members at order n by total; empty when it has none."""
-    return _fold(n).get((constraint.kind, constraint.param), {})
 
 
 def filter_graphs(stream: Iterable[Graph], constraint: ClassConstraint) -> Iterator[Graph]:
@@ -145,7 +186,8 @@ def filter_graphs(stream: Iterable[Graph], constraint: ClassConstraint) -> Itera
 def count_class(n: int, constraint: ClassConstraint) -> int:
     """Cardinality of the constrained class among order-n representatives."""
     constraint.validate_for(n)
-    return sum(map(len, _buckets(n, constraint).values()))
+    record = _fold(n).get((constraint.kind, constraint.param))
+    return 0 if record is None else record.count
 
 
 @dataclass(frozen=True)
@@ -198,13 +240,15 @@ def search(n: int, constraint: ClassConstraint, objective: str) -> ExtremalRepor
 
 
 def _search_or_none(n: int, constraint: ClassConstraint, objective: str) -> ExtremalReport | None:
-    buckets = _buckets(n, constraint)
-    if not buckets:
+    record = _fold(n).get((constraint.kind, constraint.param))
+    if record is None:
         return None
-    best = min(buckets) if objective == "min" else max(buckets)
-    encoded = tuple(sorted(_g6(g) for g in buckets[best]))
-    size = sum(map(len, buckets.values()))
-    return ExtremalReport(n, constraint, objective, best, encoded, size)
+    if objective == "min":
+        best, graphs = record.low, record.lows
+    else:
+        best, graphs = record.high, record.highs
+    encoded = tuple(sorted(_g6(g) for g in graphs))
+    return ExtremalReport(n, constraint, objective, best, encoded, record.count)
 
 
 def _verdict(

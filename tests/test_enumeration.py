@@ -56,7 +56,7 @@ class TestStream:
     def test_subtrees_in_root_order_are_the_stream(self):
         # the roots have order min(n, 6); below 6 each root is its own subtree
         for n in (1, 4, 6, 7):
-            rooted = [g for root in roots(n) for g in subtree(root, n)]
+            rooted = [g for root in roots(n) for g, _ in subtree(root, n)]
             assert rooted == list(connected_graphs(n))
             assert len(roots(n)) == CONNECTED_COUNTS[min(n, 6)]
 
@@ -69,6 +69,15 @@ class TestStream:
         for root in bad:
             with pytest.raises(ValueError):
                 subtree(root, n)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_cut_counts_match_tarjan(self, n):
+        assert check_cut_counts(n) == CONNECTED_COUNTS[n]
+
+    @pytest.mark.optin_n9
+    @pytest.mark.skipif(not RUN_N9, reason="set TOTECC_RUN_N9=1 for order-9 runs")
+    def test_cut_counts_match_tarjan_n9(self):
+        assert check_cut_counts(9) == CONNECTED_COUNTS[9]
 
     def test_range_errors(self):
         with pytest.raises(ValueError):
@@ -90,6 +99,20 @@ class TestStream:
         # full order-10 enumeration is impractical; the stream must start
         first = next(iter(connected_graphs(10, allow_large=True)))
         assert first.n == 10 and is_connected(first)
+
+
+def check_cut_counts(n):
+    """Check the cut count the stream hands out with every root and every
+    order-n graph against Tarjan's; returns the number of order-n graphs."""
+    rooted = roots(n)
+    for g, _, cuts in rooted:
+        assert cuts == len(cut_vertices(g)), graph6.encode(g)
+    count = 0
+    for root in rooted:
+        for g, cuts in subtree(root, n):
+            assert cuts == len(cut_vertices(g)), graph6.encode(g)
+            count += 1
+    return count
 
 
 def candidates(max_order):
@@ -530,6 +553,9 @@ class TestClasses:
                     assert report.class_size == len(members), (n, c, objective)
 
     def test_fold_finds_cut_vertices_once_per_graph(self, monkeypatch):
+        # the stream finds each graph's cut vertices as it accepts the
+        # graph, so the fold runs no search of its own, and it folds the
+        # stream without filling the cached class list
         calls = []
 
         def counting(g):
@@ -537,8 +563,11 @@ class TestClasses:
             return cut_vertices(g)
 
         monkeypatch.setattr(extremal, "cut_vertices", counting)
-        extremal._fold.__wrapped__(7)  # uncached, leaving the cache as it is
-        assert calls == list(connected_graph_list(7))
+        listed = connected_graph_list.cache_info()
+        for n in range(1, 8):
+            extremal._fold.__wrapped__(n)  # uncached, leaving the cache as it is
+        assert calls == []
+        assert connected_graph_list.cache_info() == listed
 
     def test_fold_finds_pendants_once_per_graph(self, monkeypatch):
         # a tree is in both pendant kinds, which share one pendant count
