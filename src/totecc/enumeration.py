@@ -35,8 +35,12 @@ with 1 < |M| < D, where D is the largest degree of a non-cut parent
 vertex, is never tried.  When that part is the new vertex alone the
 child is accepted outright, and canon runs only if the child's
 automorphism generators are still needed to extend it: a child of the
-requested final order is emitted without them.  _accept holds the
-argument in full.
+requested final order is emitted without them.  Such a child is also
+accepted without canon when every other vertex of that part is a twin of
+the new vertex (the two have the same neighbors apart from each other),
+since swapping twins is an automorphism; the twin test runs first on
+the non-cut vertices of the new vertex's degree, before any refinement.
+_accept holds the argument in full.
 
 The independent oracles (extend everything and dedup by canonical form,
 brute force over labeled graphs) live with the tests.  Class predicates
@@ -94,6 +98,16 @@ def _is_cut(comps: tuple[int, ...], mask: int) -> bool:
     return not all(comp & mask for comp in comps)
 
 
+def _twins(g: Graph, mask: int, vs: int) -> bool:
+    """Whether every parent vertex in ``vs`` is a twin of the new vertex.
+
+    v is a twin of the new vertex k of the child joined to ``mask`` iff
+    their neighborhoods agree apart from each other: g.adj[v] == M - v.
+    The transposition (v k) is then an automorphism of the child.
+    """
+    return all(g.adj[v] == mask & ~(1 << v) for v in bits(vs))
+
+
 def _subset_orbit_reps(k: int, gens: Gens, low: int) -> Iterator[int]:
     """One nonempty neighbor subset per orbit of the parent's automorphisms.
 
@@ -147,12 +161,24 @@ def _accept(
     its initial cell.  So the deletion vertex, the non-cut vertex with the
     highest canonical position, lies in ``cand``, the non-cut vertices of
     the last initial cell that has any.  Automorphisms map each initial
-    cell onto itself and cut vertices onto cut vertices, so the deletion
-    vertex's whole orbit lies in ``cand`` too: a new vertex outside
-    ``cand`` is rejected with no canon call.  When ``cand`` is the new
-    vertex alone it is the deletion vertex and the child is accepted; if
-    ``last`` (the child has the order the caller asked for, so it is
-    never extended) its generators are not needed and canon is skipped.
+    cell onto itself and cut vertices onto cut vertices, so ``cand`` is a
+    union of orbits and the deletion vertex's whole orbit lies in it: a
+    new vertex outside ``cand`` is rejected with no canon call.  When
+    ``cand`` is the new vertex alone it is the deletion vertex and the
+    child is accepted; if ``last`` (the child has the order the caller
+    asked for, so it is never extended) its generators are not needed
+    and canon is skipped.
+
+    With ``last``, canon is also skipped when every other vertex of
+    ``cand`` is a twin of k (see _twins): the swap of such a vertex v and
+    k fixes every other vertex and maps N(v) - k onto N(k) - v, so it is
+    an automorphism and v is in k's orbit.  The deletion vertex lies in
+    ``cand``, hence in k's orbit, and the child is accepted.  The test
+    runs once before the refinement, on ``noncut`` (the non-cut vertices
+    of degree |M|, k among them): if all of them but k are twins of k
+    they form one orbit, so one initial cell, and ``cand == noncut``.
+    Below the final order canon still runs on every accepted child,
+    because its generators choose the child's own masks.
 
     Most of ``cand`` is found from degrees alone.  The first splitter of
     that refinement is the whole vertex set, so it first splits by degree
@@ -196,6 +222,8 @@ def _accept(
                 return None, None
             noncut |= 1 << v
     child = _extend(g, mask)
+    if last and _twins(g, mask, noncut ^ 1 << k):
+        return child, None
     cand = noncut
     initial = None
     if noncut != 1 << k:
@@ -207,8 +235,8 @@ def _accept(
                 break
         if not cand >> k & 1:
             return None, None
-    if last and cand == 1 << k:
-        return child, None
+        if last and _twins(g, mask, cand ^ 1 << k):
+            return child, None
     res = canon(child, initial)
     deletion = max(bits(cand), key=res.labeling.index)
     return (child if res.orbits[k] == res.orbits[deletion] else None), res.generators
@@ -220,7 +248,9 @@ def _grow(g: Graph, gens: Gens | None, cuts: int, level: int, n: int) -> Iterato
     ``cuts`` is g's number of cut vertices.  ``n`` is the final order the
     caller asked for, which may exceed ``level``: graphs of order n come
     with None generators where _accept skipped canon, and no other graph
-    does.
+    does.  _accept skips canon at order n when the new vertex is the only
+    candidate for the deletion vertex, or every other candidate is its
+    twin.
     """
     if g.n == level:
         yield g, gens, cuts

@@ -224,7 +224,11 @@ class Verdict:
         return self.status in (PASS, SKIPPED)
 
 
+@lru_cache(maxsize=None)
 def _g6(g: Graph) -> str:
+    # Memoised by value: witnesses recur across theorem rows and orders.
+    # canonical_graph is looked up in this module at each miss, so a
+    # wrapper bound over extremal.canonical_graph sees every distinct graph.
     return graph6.encode(canonical_graph(g))
 
 

@@ -144,13 +144,26 @@ def relabel_by_positions(g: Graph, perm: tuple[int, ...]) -> Graph:
     return Graph(g.n, tuple(rows))
 
 
+def swaps_with_last(child: Graph, vs: int) -> bool:
+    """Whether swapping the child's last vertex with each vertex of ``vs``
+    maps the child onto itself, checked by relabelling."""
+    k = child.n - 1
+    for v in bits(vs):
+        perm = list(range(child.n))
+        perm[v], perm[k] = k, v
+        if child.relabel(tuple(perm)) != child:
+            return False
+    return True
+
+
 def accept_reference(child: Graph, last: bool, parts: Parts) -> tuple[bool, Gens | None]:
-    """enumeration._accept as it was: the degree step read from the built child.
+    """enumeration._accept with the degree step read from the built child.
 
     ``parts`` is ``enumeration._parts`` of the parent, the child less its
     new vertex, which is the child's last.  Returns whether the child is
     accepted, and the generators canon found for it, or None where canon
-    did not run.
+    did not run: at the last level, when every other vertex of ``cand``
+    swaps with the new vertex by an automorphism.
     """
     n = child.n
     k = n - 1
@@ -175,7 +188,7 @@ def accept_reference(child: Graph, last: bool, parts: Parts) -> tuple[bool, Gens
                 break
         if not cand >> k & 1:
             return False, None
-    if last and cand == 1 << k:
+    if last and swaps_with_last(child, cand ^ 1 << k):
         return True, None
     res = canon(child, initial)
     pos = [0] * n

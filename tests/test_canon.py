@@ -253,10 +253,10 @@ def test_search_refinements_match_oracle(monkeypatch):
 
 
 def test_union_find_work_pinned(monkeypatch):
-    # connected_graphs(7) makes 506 canon calls, each with one orbit
-    # union-find; search nodes add 1,356 more, where rebuilding one per
-    # sibling made 2,704 (3,210 and 45,505 unions in all).  A generator's
-    # fixed points are not unioned
+    # connected_graphs(7) makes 281 canon calls, each with one orbit
+    # union-find; search nodes add 529 more, one per node that meets a
+    # generator fixing its path, not one per sibling.  A generator's fixed
+    # points are not unioned
     calls = {"made": 0, "unions": 0}
 
     class Counting(_UnionFind):
@@ -270,4 +270,4 @@ def test_union_find_work_pinned(monkeypatch):
 
     monkeypatch.setattr(canon_module, "_UnionFind", Counting)
     assert sum(1 for _ in connected_graphs(7)) == 853
-    assert calls == {"made": 1862, "unions": 11280}
+    assert calls == {"made": 810, "unions": 4816}

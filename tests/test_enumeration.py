@@ -16,6 +16,7 @@ from oracles import (
     labeled_graphs,
     refine_reference,
     subset_orbit_reps_by_mask,
+    swaps_with_last,
 )
 from totecc import ClassConstraint, count_class, families, filter_graphs, parse_constraint
 from totecc import enumeration, extremal, graph, graph6, search
@@ -154,25 +155,30 @@ def accept_by_canon(child):
     return res.orbits[child.n - 1] == res.orbits[deletion], res.generators
 
 
-def accept_by_refine(child, last):
-    """The accept step with every cut vertex and one full refinement, no degree shortcut.
-
-    ``cand`` is read straight from its definition: the non-cut vertices of
-    the last cell of ``_refine(adj, [full], [full])`` that has any.
-    """
-    n = child.n
-    k = n - 1
-    full = (1 << n) - 1
+def cand_of(child):
+    """``cand`` read straight from its definition: the non-cut vertices of
+    the last cell of ``_refine(adj, [full], [full])`` that has any."""
+    full = (1 << child.n) - 1
     noncut = full
     for v in cut_vertices(child):
         noncut ^= 1 << v
-    for cell in reversed(_refine(child.adj, [full], [full])):
-        cand = cell & noncut
-        if cand:
-            break
+    cells = _refine(child.adj, [full], [full])
+    return next(cell & noncut for cell in reversed(cells) if cell & noncut)
+
+
+def accept_by_refine(child, last):
+    """The accept step with every cut vertex and one full refinement, no degree shortcut.
+
+    At the last level the child is accepted without canon when every other
+    vertex of ``cand`` swaps with the new vertex by an automorphism,
+    checked by relabelling, not from the parent's rows.
+    """
+    n = child.n
+    k = n - 1
+    cand = cand_of(child)
     if not cand >> k & 1:
         return False, None
-    if last and cand == 1 << k:
+    if last and swaps_with_last(child, cand ^ 1 << k):
         return True, None
     res = canon(child)
     pos = [0] * n
@@ -200,7 +206,7 @@ def check_against_refine_oracle(max_order):
 class TestAcceptTest:
     def test_fast_decision_matches_canon_oracle(self):
         # every candidate child of every stream parent of order <= 6
-        tried = prefiltered = shortcut = 0
+        tried = prefiltered = shortcut = twins = 0
         for parent, mask, child in candidates(6):
             expected, gens = accept_by_canon(child)
             parts = _parts(parent)
@@ -215,9 +221,11 @@ class TestAcceptTest:
                 prefiltered += 1
             elif last_gens is None:
                 shortcut += 1
+                # accepted by twin swaps, with vertices besides the new one in cand
+                twins += cand_of(child) != 1 << child.n - 1
         # one candidate per canon call the stream made for n = 7 before the pre-test
         assert tried == 4159
-        assert prefiltered > 0 and shortcut > 0
+        assert prefiltered > 0 and shortcut > 0 and twins > 0
 
     def test_matches_refine_oracle(self):
         # the degree and deletion shortcuts give the same decisions and
@@ -307,7 +315,9 @@ class TestAcceptTest:
     def test_accept_work_pinned(self, monkeypatch):
         # n = 7 has 4,159 candidates; the mask-size bound skips 1,442, and
         # the degree step, read from the parents, builds 1,324 children and
-        # refines 949 of them.  The cut tests read the components of each of
+        # refines 777 of them: at the last level a child whose other
+        # non-cut vertices of degree |M| are all twins of the new one is
+        # accepted unrefined.  The cut tests read the components of each of
         # the 143 parents less each vertex, one search per component, and
         # search no child
         calls = {"_extend": 0, "_refine": 0, "_reach": 0, "_tarjan": 0}
@@ -326,11 +336,12 @@ class TestAcceptTest:
         counting(graph, "_reach")
         counting(graph, "_tarjan")
         assert sum(1 for _ in connected_graphs(7)) == 853
-        assert calls == {"_extend": 1324, "_refine": 949, "_reach": 940, "_tarjan": 0}
+        assert calls == {"_extend": 1324, "_refine": 777, "_reach": 940, "_tarjan": 0}
 
     def test_canon_calls_pinned(self, monkeypatch):
         # canon on every candidate would be 4,159 calls; the pre-test and the
-        # last-level shortcut leave 506, and dropping either changes the count
+        # last-level twin acceptance leave 281, and dropping either changes
+        # the count
         calls = []
 
         def counting(*args):
@@ -339,7 +350,7 @@ class TestAcceptTest:
 
         monkeypatch.setattr(enumeration, "canon", counting)
         assert sum(1 for _ in connected_graphs(7)) == 853
-        assert len(calls) == 506
+        assert len(calls) == 281
 
     def test_stream_graphs_pass_full_validation(self):
         # the stream builds children with Graph._unchecked; the public

@@ -252,3 +252,21 @@ class TestDispatch:
         assert verify_theorem("pendant-max", 10) == []
         with pytest.raises(ValueError, match=r"^check_conjecture needs 5 <= n <= 9$"):
             check_conjecture(4)
+
+
+def test_witnesses_canonicalised_once_per_graph(monkeypatch):
+    # witness and prediction graphs recur across theorem rows; _g6 is
+    # memoised by graph value, so canonical_graph runs once per distinct graph
+    calls = []
+
+    def counting(graph):
+        calls.append(graph)
+        return canonical_graph(graph)
+
+    monkeypatch.setattr(extremal, "canonical_graph", counting)
+    extremal._g6.cache_clear()
+    for theorem in extremal.THEOREMS:
+        for n in range(3, 8):
+            verify_theorem(theorem, n)
+    assert calls and len(calls) == len(set(calls))
+    assert extremal._g6.cache_info().hits > 0
