@@ -16,7 +16,7 @@ the hard cap is n <= 64.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .graph import Graph, _relabel_rows, bits
 
@@ -62,7 +62,12 @@ class _UnionFind:
                 self.union(v, w)
 
 
-def _refine(adj: tuple[int, ...], cells: list[int], splitters: list[int]) -> list[int]:
+def _refine(
+    adj: tuple[int, ...],
+    cells: list[int],
+    splitters: list[int],
+    stop: Callable[[list[int]], bool] | None = None,
+) -> list[int]:
     """Equitable refinement of an ordered partition (1-dim WL).
 
     Splits every multi-vertex cell by neighbor counts into the splitter
@@ -75,6 +80,13 @@ def _refine(adj: tuple[int, ...], cells: list[int], splitters: list[int]) -> lis
     is a singleton.  A singleton splitter {w} counts 0 or 1 into each
     vertex, so it splits a cell into its non-neighbors and neighbors of
     w, in that order, with no loop over the cell's vertices.
+
+    With ``stop``, ``stop(cells)`` is asked after every pass that splits
+    a cell.  If it returns true the refinement ends there: the partition
+    so far is returned and ``splitters`` is set, in place, to the
+    splitters not yet used, so ``_refine(adj, cells, splitters)`` then
+    finishes it with the cells one uninterrupted run would give.
+    ``splitters`` is left as it is otherwise.
     """
     n = len(adj)
     queue = list(splitters)
@@ -92,25 +104,27 @@ def _refine(adj: tuple[int, ...], cells: list[int], splitters: list[int]) -> lis
                     queue += (cell ^ hit, hit)
                 else:
                     out.append(cell)
-            cells = out
-            continue
-        for cell in cells:
-            if cell.bit_count() == 1:
-                out.append(cell)
-                continue
-            buckets: dict[int, int] = {}
-            m = cell
-            while m:
-                low = m & -m
-                key = (adj[low.bit_length() - 1] & splitter).bit_count()
-                buckets[key] = buckets.get(key, 0) | low
-                m ^= low
-            if len(buckets) == 1:
-                out.append(cell)
-            else:
-                parts = [buckets[k] for k in sorted(buckets)]
-                out.extend(parts)
-                queue.extend(parts)
+        else:
+            for cell in cells:
+                if cell.bit_count() == 1:
+                    out.append(cell)
+                    continue
+                buckets: dict[int, int] = {}
+                m = cell
+                while m:
+                    low = m & -m
+                    key = (adj[low.bit_length() - 1] & splitter).bit_count()
+                    buckets[key] = buckets.get(key, 0) | low
+                    m ^= low
+                if len(buckets) == 1:
+                    out.append(cell)
+                else:
+                    parts = [buckets[k] for k in sorted(buckets)]
+                    out.extend(parts)
+                    queue.extend(parts)
+        if stop is not None and len(out) > len(cells) and stop(out):
+            splitters[:] = queue[qi:]
+            return out
         cells = out
     return cells
 

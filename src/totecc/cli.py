@@ -253,6 +253,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     orders = _parse_range(args.n)
     for n in orders:
         enumeration.check_order(n)
+    extremal.fold_orders(orders[0], orders[-1])
     verdicts: list[extremal.Verdict] = []
     for n in orders:
         for name in names:
@@ -275,6 +276,7 @@ def _cmd_conjecture(args: argparse.Namespace) -> int:
             raise ValueError(
                 f"the conjecture audit covers {audited[0]} <= n <= {audited[-1]}, not n={n}"
             )
+    extremal.fold_orders(orders[0], orders[-1])
     verdicts: list[extremal.Verdict] = []
     for n in orders:
         print(f"auditing conjecture at n={n}", file=sys.stderr)

@@ -13,9 +13,13 @@ The stream splits at one level: roots(n) lists its graphs of order
 min(n, 6) in stream order, subtree(root, n) yields the order-n graphs
 below one root, and connected_graphs(n) chains the subtrees in root
 order.  Subtrees processed apart and joined in root order give the
-stream exactly.  Roots and subtrees hand out each graph with its number
-of cut vertices, found where the graph is accepted (see _grow), so a
-consumer that needs the count runs no cut-vertex search.
+stream exactly.  The graphs of every order below n are inner nodes of
+the tree to order n, so walk(lo, hi) hands out every graph of order
+lo..hi from one walk to hi, those of each order m being
+connected_graphs(m) in order: a range of orders is grown once, not once
+per order.  All of them hand out each graph with its number of cut
+vertices, found where the graph is accepted (see _walk), so a consumer
+that needs the count runs no cut-vertex search.
 
 Most children are decided without the canon search tree (McKay, J.
 Algorithms 26, 1998), and most before they are built.  The deletion
@@ -26,7 +30,9 @@ ordered by ascending degree, so the cell lies in the highest degree
 class holding a non-cut vertex: most children are decided from degrees
 alone, which the parent's degrees and the neighbor mask M give, and the
 child is built and refined only when another non-cut vertex shares the
-new vertex's degree |M|; canon then starts from that refinement.  No cut
+new vertex's degree |M|, and the refinement stops at the first pass
+after which its partial cells settle the outcome; canon then starts
+from that refinement, finished.  No cut
 test searches a child: each parent lists once the components of itself
 less each vertex, and a parent vertex is a cut vertex of a child iff M
 misses one of its components.  So with |M| >= 2 a non-cut vertex of the
@@ -195,6 +201,20 @@ def _accept(
     A parent vertex v has degree deg[v] in the child, plus one if v is in
     M, so this whole step reads the parent.
 
+    The refinement often settles the outcome before it ends.  It splits
+    cells only in place, so after any pass the final ``cand`` lies in the
+    non-cut part of the last cell so far that has a non-cut vertex, and
+    is not empty.  The refinement stops after the first pass that splits
+    a cell and leaves that part without k (reject), equal to {k} (then
+    ``cand`` is {k}), or, with ``last``, with every other vertex a twin
+    of k (accept; the twins share k's orbit, so ``cand`` is that part).
+    If no pass settles it, the refinement runs to the end, and its
+    ``cand`` holds k and some vertex that canon must place.  A child
+    stopped at {k} below the final order still needs its generators, so
+    the refinement is resumed from the cells and splitters it stopped
+    with (see _refine), and canon starts from the same partition as after
+    one uninterrupted refinement.
+
     No cut test searches the child.  The child less a parent vertex v is
     g - v plus k, and k is joined to the components of g - v that meet M.
     So v is a cut vertex of the child iff some component of g - v misses
@@ -203,7 +223,7 @@ def _accept(
     the parent K1: K1 - v has no component, and the child K2 has no cut
     vertex.
 
-    This bounds |M| before any test (``_grow`` passes the bound to
+    This bounds |M| before any test (``_walk`` passes the bound to
     ``_subset_orbit_reps``).  Let v be a non-cut vertex of g, so g - v has
     at most one component.  If |M| >= 2, M meets g - v, so v is not cut
     in the child either, and its degree there is at least deg[v].  A mask
@@ -227,45 +247,60 @@ def _accept(
     cand = noncut
     initial = None
     if noncut != 1 << k:
+
+        def settled(cells: list[int]) -> bool:
+            nonlocal cand
+            for cell in reversed(cells):
+                cand = cell & noncut
+                if cand:
+                    break
+            return cand == 1 << k or not cand >> k & 1 or last and _twins(g, mask, cand ^ 1 << k)
+
         full = (1 << k + 1) - 1
-        initial = _refine(child.adj, [full], [full])
-        for cell in reversed(initial):
-            cand = cell & noncut
-            if cand:
-                break
+        rest = [full]
+        initial = _refine(child.adj, [full], rest, settled)
         if not cand >> k & 1:
             return None, None
         if last and _twins(g, mask, cand ^ 1 << k):
             return child, None
+        if cand == 1 << k:
+            # stopped early, and canon starts from the finished refinement
+            initial = _refine(child.adj, initial, rest)
     res = canon(child, initial)
     deletion = max(bits(cand), key=res.labeling.index)
     return (child if res.orbits[k] == res.orbits[deletion] else None), res.generators
 
 
-def _grow(g: Graph, gens: Gens | None, cuts: int, level: int, n: int) -> Iterator[Root]:
-    """The stream's graphs of order ``level`` below ``g``, with their generators.
+def _walk(g: Graph, gens: Gens | None, cuts: int, lo: int, hi: int, n: int) -> Iterator[Root]:
+    """The stream's graphs of orders lo..hi at and below ``g``, in stream order.
 
-    ``cuts`` is g's number of cut vertices.  ``n`` is the final order the
-    caller asked for, which may exceed ``level``: graphs of order n come
-    with None generators where _accept skipped canon, and no other graph
-    does.  _accept skips canon at order n when the new vertex is the only
-    candidate for the deletion vertex, or every other candidate is its
-    twin.
+    Each comes with its generators and its number of cut vertices;
+    ``cuts`` is g's.  A graph comes before the graphs below it, and
+    siblings come in mask order.  ``n`` >= hi is the final order the
+    caller asked for: graphs of order n come with None generators where
+    _accept skipped canon, and no other graph does.  _accept skips canon
+    at order n when the new vertex is the only candidate for the
+    deletion vertex, or every other candidate is its twin.
     """
-    if g.n == level:
+    if g.n >= lo:
         yield g, gens, cuts
+    if g.n == hi:
         return
     parts = _parts(g)
     deg = [row.bit_count() for row in g.adj]
     # the largest degree of a non-cut vertex bounds |M| (see _accept)
     low = max(d for d, comps in zip(deg, parts) if len(comps) <= 1)
     last = g.n + 1 == n
+    leaf = g.n + 1 == hi
     for mask in _subset_orbit_reps(g.n, gens, low):
         child, child_gens = _accept(g, deg, parts, mask, last)
         if child is not None:
             # the new vertex is never a cut vertex of the child (see _accept)
             child_cuts = sum(_is_cut(comps, mask) for comps in parts)
-            yield from _grow(child, child_gens, child_cuts, level, n)
+            if leaf:
+                yield child, child_gens, child_cuts
+            else:
+                yield from _walk(child, child_gens, child_cuts, lo, hi, n)
 
 
 def check_order(n: int, allow_large: bool = False) -> None:
@@ -280,7 +315,8 @@ def roots(n: int, allow_large: bool = False) -> list[Root]:
     check_order(n, allow_large)
     # Pass n, not the root level, as the final order: roots below n are
     # extended further and need their generators.
-    return list(_grow(_K1, (), 0, min(n, _ROOT_LEVEL), n))
+    top = min(n, _ROOT_LEVEL)
+    return list(_walk(_K1, (), 0, top, top, n))
 
 
 def subtree(root: Root, n: int) -> Iterator[tuple[Graph, int]]:
@@ -292,7 +328,21 @@ def subtree(root: Root, n: int) -> Iterator[tuple[Graph, int]]:
     # A root below order n must carry the generators roots(n) gives it.
     if g.n != min(n, _ROOT_LEVEL) or gens is None and g.n < n:
         raise ValueError(f"not one of roots({n})")
-    return ((child, c) for child, _, c in _grow(g, gens, cuts, n, n))
+    return ((child, c) for child, _, c in _walk(g, gens, cuts, n, n, n))
+
+
+def walk(lo: int, hi: int) -> Iterator[Root]:
+    """Every graph of the stream of order lo..hi, from one walk of the growth tree to order hi.
+
+    Each comes with its generators and its number of cut vertices, a
+    graph before the graphs grown from it.  The graphs of one order m are
+    connected_graphs(m) in order: the tree to order m is the top of the
+    tree to order hi.  Only graphs of order hi may lack generators.
+    """
+    check_order(hi)
+    if not 1 <= lo <= hi:
+        raise ValueError(f"walk needs 1 <= lo <= hi, got lo={lo}, hi={hi}")
+    return _walk(_K1, (), 0, lo, hi, hi)
 
 
 def connected_graphs(n: int, *, allow_large: bool = False) -> Iterator[Graph]:

@@ -4,13 +4,17 @@ _KINDS, one row per class kind (the edge count its members need and the
 invariant that gives its parameter), is the one definition of class
 membership.  _classes(g) reads from it the (kind, parameter) key of every
 class a connected graph is in; filter_graphs asks _classes for one kind,
-so it computes only that kind's parameter.  _fold(n) passes once over the
-order-n stream, subtree by subtree, and keeps for every key one _Extrema
-record: the class's member count, and its least and greatest total
-eccentricity, each with the graphs attaining it.  So an extremum over a
-class and its complete witness list up to isomorphism are read off one
-record, and the fold never holds the class list.  The stream supplies
-each graph's cut-vertex count, so the fold runs no cut-vertex search.
+so it computes only that kind's parameter.  The fold of an order keeps
+for every key one _Extrema record: the class's member count, and its
+least and greatest total eccentricity, each with the graphs attaining
+it.  So an extremum over a class and its complete witness list up to
+isomorphism are read off one record, and the fold never holds the class
+list.  fold_orders(lo, hi) folds every order of a range from one walk of
+the growth tree to order hi (enumeration.walk), batch by batch, since
+the lower orders are inner nodes of that tree; verify and conjecture
+call it once for their range, and _fold(n) alone walks only to n.  The
+walk supplies each graph's cut-vertex count, so the fold runs no
+cut-vertex search.
 Each theorem is a table row: the orders and parameters it covers, and
 for each parameter one or more statements (class, objective, predicted
 extremum and extremal graphs), all checked by _check into Verdict
@@ -25,13 +29,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
+from itertools import islice
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from . import families, formulas, graph6
 from .canon import canonical_graph
 # connected_graph_list is unused here but stays bound: perfbench/spans.py
 # wraps it by this module's name.
-from .enumeration import MAX_EXHAUSTIVE, connected_graph_list, roots, subtree
+from .enumeration import MAX_EXHAUSTIVE, connected_graph_list, walk
 from .graph import Graph, cut_vertices, girth, pendant_vertices, total_eccentricity
 
 PASS = "pass"
@@ -157,16 +162,29 @@ class _Extrema:
             self.highs.append(g)
 
 
-@lru_cache(maxsize=None)
-def _fold(n: int) -> dict[tuple[str, int | None], _Extrema]:
-    """The extrema of every class with members at order n, by class key."""
-    fold: dict[tuple[str, int | None], _Extrema] = {}
-    for root in roots(n):
-        # Each subtree is listed before it is folded: folding graph by graph
-        # as the stream yields them was slower at n = 8 (0.80 against 0.77 s,
-        # median of ten interleaved runs), and one subtree is a small part
-        # of the class list.
-        for g, cuts in list(subtree(root, n)):
+#: Graphs folded per batch of the walk.  Batches of 2,048 raised the
+#: peak RSS of verify -n 3..8 by 0.6 MB over batches of 256, at the same
+#: speed.
+_BATCH = 256
+
+#: One order's class extrema, by class key.
+Fold = dict[tuple[str, int | None], _Extrema]
+
+#: Every order's fold found so far, by order.
+_FOLDS: dict[int, Fold] = {}
+
+
+def _fold_walk(lo: int, hi: int) -> dict[int, Fold]:
+    """The extrema of every class with members at each order lo..hi, from one walk."""
+    folds: dict[int, Fold] = {m: {} for m in range(lo, hi + 1)}
+    nodes = walk(lo, hi)
+    # The walk is folded in batches: folding graph by graph as the walk
+    # yields them made verify -n 3..8 slower (0.509 against 0.466 s in
+    # process, median of six interleaved runs, CPython 3.11), and one
+    # batch is a small part of the class list.
+    while batch := list(islice(nodes, _BATCH)):
+        for g, _, cuts in batch:
+            fold = folds[g.n]
             eps = total_eccentricity(g)
             for key in _classes(g, cuts=cuts):
                 record = fold.get(key)
@@ -174,7 +192,27 @@ def _fold(n: int) -> dict[tuple[str, int | None], _Extrema]:
                     fold[key] = _Extrema(1, eps, [g], eps, [g])
                 else:
                     record.add(g, eps)
-    return fold
+    return folds
+
+
+def fold_orders(lo: int, hi: int) -> None:
+    """Fold every order lo..hi not folded yet, from one walk of the growth tree.
+
+    verify and conjecture call this once for their whole range, so that
+    the graphs of lower orders, the inner nodes of the tree to the top
+    order, are not grown again for each order.
+    """
+    todo = [m for m in range(lo, hi + 1) if m not in _FOLDS]
+    if todo:
+        for m, fold in _fold_walk(todo[0], todo[-1]).items():
+            _FOLDS.setdefault(m, fold)
+
+
+def _fold(n: int) -> Fold:
+    """The extrema of every class with members at order n; a lone order walks only to n."""
+    if n not in _FOLDS:
+        fold_orders(n, n)
+    return _FOLDS[n]
 
 
 def filter_graphs(stream: Iterable[Graph], constraint: ClassConstraint) -> Iterator[Graph]:

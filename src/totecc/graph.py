@@ -369,6 +369,9 @@ def _bounded(adj: Sequence[int], twice_m: int | None = None) -> tuple[int, ...] 
 #: the two meet near 6 neighbours at n = 40 and near 20 at n = 200).
 _DENSE_ROW = 16
 _BINARY_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
+#: The set bits of every byte, for the rows of graphs with n <= 8.  A
+#: constant built at import, read by _sweep in place of bits().
+_BYTE_BITS = tuple(tuple(bits(r)) for r in range(256))
 
 
 def _sweep(adj: Sequence[int]) -> tuple[int, ...]:
@@ -391,7 +394,9 @@ def _sweep(adj: Sequence[int]) -> tuple[int, ...]:
     if not active:
         return tuple(ecc)
     # Built once per call: iterating bits() inside the rounds loses most of the gain.
-    if n <= _DENSE_ROW:  # no row can be dense, so no row is tested
+    if n <= 8:  # every row is one byte
+        nbrs = [_BYTE_BITS[row] for row in adj]
+    elif n <= _DENSE_ROW:  # no row can be dense, so no row is tested
         nbrs = [list(bits(row)) for row in adj]
     else:
         vertices = range(n)

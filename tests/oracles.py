@@ -4,7 +4,8 @@ from itertools import combinations
 from typing import Iterator, Sequence
 
 from totecc.canon import canon
-from totecc.enumeration import Gens, Parts, _extend, _is_cut
+from totecc.enumeration import Gens, Parts, _extend, _is_cut, roots, subtree
+from totecc.extremal import Fold, _classes, _Extrema
 from totecc.graph import (
     BlockDecomposition,
     DisconnectedGraphError,
@@ -13,6 +14,7 @@ from totecc.graph import (
     bfs_distances,
     bits,
     is_connected,
+    total_eccentricity,
     without_edge,
 )
 from totecc.transforms import RelocateSite, ShrinkSite, _require
@@ -66,6 +68,22 @@ def connected_graphs_dedup(n: int) -> list[Graph]:
                     nxt.append(child)
         level = nxt
     return level
+
+
+def fold_per_order(n: int) -> Fold:
+    """extremal's fold of one order as it was: the order-n stream alone,
+    root by root, with no cache."""
+    fold: Fold = {}
+    for root in roots(n):
+        for g, cuts in subtree(root, n):
+            eps = total_eccentricity(g)
+            for key in _classes(g, cuts=cuts):
+                record = fold.get(key)
+                if record is None:
+                    fold[key] = _Extrema(1, eps, [g], eps, [g])
+                else:
+                    record.add(g, eps)
+    return fold
 
 
 def labeled_graphs(n: int) -> Iterator[Graph]:

@@ -12,6 +12,7 @@ from oracles import (
     connected_graphs_dedup,
     cut_vertices_by_deletion,
     distance_matrix,
+    fold_per_order,
     labeled_connected_count,
     labeled_graphs,
     refine_reference,
@@ -20,6 +21,7 @@ from oracles import (
 )
 from totecc import ClassConstraint, count_class, families, filter_graphs, parse_constraint
 from totecc import enumeration, extremal, graph, graph6, search
+from totecc.cli import main
 from totecc.canon import _refine, canon, canonical_form, canonical_graph
 from totecc.enumeration import (
     _accept,
@@ -31,6 +33,7 @@ from totecc.enumeration import (
     connected_graphs,
     roots,
     subtree,
+    walk,
 )
 from totecc.graph import Graph, bits, cut_vertices, girth, is_connected, pendant_vertices
 
@@ -100,6 +103,114 @@ class TestStream:
         # full order-10 enumeration is impractical; the stream must start
         first = next(iter(connected_graphs(10, allow_large=True)))
         assert first.n == 10 and is_connected(first)
+
+
+class TestWalk:
+    def test_orders_are_the_streams(self):
+        # one walk to 8: its graphs of each order m, with their cut counts,
+        # are connected_graphs(m) in order, and only graphs of order 8 may
+        # lack generators
+        by_order = {m: [] for m in range(1, 9)}
+        for g, gens, cuts in walk(1, 8):
+            by_order[g.n].append((g, cuts))
+            assert gens is not None or g.n == 8, graph6.encode(g)
+        for m, nodes in by_order.items():
+            assert [g for g, _ in nodes] == list(connected_graphs(m)), m
+            assert [c for _, c in nodes] == [len(cut_vertices(g)) for g, _ in nodes], m
+
+    def test_graphs_come_before_the_graphs_grown_from_them(self):
+        # stream order: each graph of order m > 1 follows a graph of order
+        # m - 1 with no graph of order below m - 1 between them
+        orders = [g.n for g, _, _ in walk(1, 7)]
+        for i, m in enumerate(orders[1:], 1):
+            above = next(o for o in reversed(orders[:i]) if o < m)
+            assert above == m - 1, i
+
+    def test_generators_are_canons(self):
+        for g, gens, _ in walk(1, 7):
+            if g.n < 7:
+                assert gens == canon(g).generators, graph6.encode(g)
+
+    def test_lower_bound_only_drops_graphs(self):
+        assert list(walk(4, 6)) == [node for node in walk(1, 6) if node[0].n >= 4]
+        assert [g for g, _, _ in walk(6, 6)] == list(connected_graphs(6))
+
+    @pytest.mark.parametrize("lo, hi", [(0, 5), (6, 5), (1, 0), (1, 10)])
+    def test_range_errors(self, lo, hi):
+        with pytest.raises(ValueError):
+            walk(lo, hi)
+
+
+def count_accepts(monkeypatch, run):
+    """How many times ``run()`` calls enumeration._accept."""
+    calls = 0
+    original = enumeration._accept
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return original(*args)
+
+    monkeypatch.setattr(enumeration, "_accept", counting)
+    run()
+    monkeypatch.setattr(enumeration, "_accept", original)
+    return calls
+
+
+class TestFoldOrders:
+    def test_one_walk_matches_per_order_oracle(self):
+        folds = extremal._fold_walk(1, 8)
+        assert sorted(folds) == list(range(1, 9))
+        for m in range(1, 9):
+            assert folds[m] == fold_per_order(m), m
+
+    @pytest.mark.optin_n9
+    @pytest.mark.skipif(not RUN_N9, reason="set TOTECC_RUN_N9=1 for order-9 runs")
+    def test_one_walk_matches_per_order_oracle_n9(self):
+        folds = extremal._fold_walk(1, 9)
+        assert sorted(folds) == list(range(1, 10))
+        for m in range(1, 10):
+            assert folds[m] == fold_per_order(m), m
+
+    @pytest.mark.parametrize(
+        "argv, orders",
+        [
+            (["verify", "--theorem", "all", "-n", "3..7"], range(3, 8)),
+            (["conjecture", "-n", "5..7"], range(5, 8)),
+        ],
+    )
+    def test_range_walks_the_tree_once(self, monkeypatch, capsys, argv, orders):
+        # a range's orders are folded from one walk to its top order: the
+        # same _accept calls as that walk, fewer than a walk per order
+        one_walk = count_accepts(monkeypatch, lambda: list(walk(1, orders[-1])))
+        per_order = sum(
+            count_accepts(monkeypatch, lambda m=m: list(walk(m, m))) for m in orders
+        )
+        monkeypatch.setattr(extremal, "_FOLDS", {})
+        assert count_accepts(monkeypatch, lambda: main(argv)) == one_walk < per_order
+        capsys.readouterr()
+
+    def test_lone_order_walks_to_it(self, monkeypatch):
+        monkeypatch.setattr(extremal, "_FOLDS", {})
+        lone = count_accepts(monkeypatch, lambda: extremal._fold(6))
+        assert lone == count_accepts(monkeypatch, lambda: list(walk(6, 6)))
+        assert sorted(extremal._FOLDS) == [6]
+
+    def test_folded_orders_are_kept(self, monkeypatch):
+        # a wider range walks again only for the orders it lacks, and keeps
+        # the folds already made
+        monkeypatch.setattr(extremal, "_FOLDS", {})
+        extremal.fold_orders(4, 5)
+        kept = dict(extremal._FOLDS)
+        assert count_accepts(monkeypatch, lambda: extremal.fold_orders(3, 5)) == count_accepts(
+            monkeypatch, lambda: list(walk(3, 3))
+        )
+        assert count_accepts(monkeypatch, lambda: extremal.fold_orders(2, 5)) == count_accepts(
+            monkeypatch, lambda: list(walk(2, 2))
+        )
+        assert all(extremal._FOLDS[m] is kept[m] for m in kept)
+        assert sorted(extremal._FOLDS) == [2, 3, 4, 5]
+        assert count_accepts(monkeypatch, lambda: extremal.fold_orders(2, 5)) == 0
 
 
 def check_cut_counts(n):
@@ -317,9 +428,10 @@ class TestAcceptTest:
         # the degree step, read from the parents, builds 1,324 children and
         # refines 777 of them: at the last level a child whose other
         # non-cut vertices of degree |M| are all twins of the new one is
-        # accepted unrefined.  The cut tests read the components of each of
-        # the 143 parents less each vertex, one search per component, and
-        # search no child
+        # accepted unrefined.  12 refinements stop at cand == {k} below the
+        # last level and are resumed for canon, 12 more calls.  The cut
+        # tests read the components of each of the 143 parents less each
+        # vertex, one search per component, and search no child
         calls = {"_extend": 0, "_refine": 0, "_reach": 0, "_tarjan": 0}
 
         def counting(module, name):
@@ -336,7 +448,7 @@ class TestAcceptTest:
         counting(graph, "_reach")
         counting(graph, "_tarjan")
         assert sum(1 for _ in connected_graphs(7)) == 853
-        assert calls == {"_extend": 1324, "_refine": 777, "_reach": 940, "_tarjan": 0}
+        assert calls == {"_extend": 1324, "_refine": 789, "_reach": 940, "_tarjan": 0}
 
     def test_canon_calls_pinned(self, monkeypatch):
         # canon on every candidate would be 4,159 calls; the pre-test and the
@@ -576,7 +688,8 @@ class TestClasses:
         monkeypatch.setattr(extremal, "cut_vertices", counting)
         listed = connected_graph_list.cache_info()
         for n in range(1, 8):
-            extremal._fold.__wrapped__(n)  # uncached, leaving the cache as it is
+            extremal._fold_walk(n, n)  # uncached, leaving the cache as it is
+        extremal._fold_walk(1, 7)  # every order from one walk
         assert calls == []
         assert connected_graph_list.cache_info() == listed
 
@@ -590,8 +703,14 @@ class TestClasses:
             return pendant_vertices(g)
 
         monkeypatch.setattr(extremal, "pendant_vertices", counting)
-        assert extremal._fold.__wrapped__(7) == cached  # uncached, same buckets
+        assert extremal._fold_walk(7, 7) == {7: cached}  # uncached, same buckets
         assert calls == list(connected_graph_list(7))
+        # one walk over orders 1..7 counts each graph of each order once
+        calls.clear()
+        extremal._fold_walk(1, 7)
+        for n in range(1, 8):
+            assert [g for g in calls if g.n == n] == list(connected_graph_list(n))
+        assert len(calls) == sum(CONNECTED_COUNTS[n] for n in range(1, 8))
 
     def test_unicyclic_girth_filter(self):
         members = list(

@@ -14,11 +14,13 @@ from totecc.graph import (
     UNREACHABLE,
     DisconnectedGraphError,
     Graph,
+    _BYTE_BITS,
     _bounded,
     _sweep,
     average_eccentricity,
     bfs_distances,
     bfs_levels,
+    bits,
     blocks,
     center,
     cut_vertices,
@@ -250,6 +252,18 @@ class TestEccentricitiesSweep:
             calls.clear()
             eccentricities(g)
             assert calls == ["sweep"]
+
+    def test_byte_table_lists_each_bytes_bits(self):
+        assert len(_BYTE_BITS) == 256
+        assert all(_BYTE_BITS[r] == tuple(bits(r)) for r in range(256))
+
+    def test_sweep_from_byte_table_matches_per_source_bfs(self):
+        # graphs with n <= 8 take their neighbour lists from _BYTE_BITS
+        for n in range(1, 8):
+            for g in connected_graph_list(n):
+                assert _sweep(g.adj) == tuple(eccentricity(g, v) for v in range(g.n)), g
+        for g in (families.complete(8), families.path(8), families.cycle(8), families.star(8)):
+            assert _sweep(g.adj) == tuple(eccentricity(g, v) for v in range(g.n)), g
 
     def test_small_orders(self):
         assert eccentricities(Graph(1, (0,))) == (0,)

@@ -222,6 +222,33 @@ def test_refine_matches_reference(case):
     assert _refine(adj, list(cells), splitters) == refine_reference(adj, cells, splitters)
 
 
+@hypothesis.settings(max_examples=300, deadline=None, database=None)
+@hypothesis.given(refinements(), st.integers(1, 3))
+def test_stopped_refinement_resumes_to_the_same_cells(case, passes):
+    # stopped after the given number of splitting passes (or at the end, if
+    # fewer split), then resumed from the cells and splitters left
+    adj, cells, splitters = case
+    whole = _refine(adj, list(cells), list(splitters))
+    seen = []
+
+    def stop(partition):
+        seen.append(list(partition))
+        return len(seen) == passes
+
+    rest = list(splitters)
+    stopped = _refine(adj, list(cells), rest, stop)
+    # asked only after passes that split a cell, each time with more cells
+    sizes = [len(cells)] + [len(p) for p in seen]
+    assert sizes == sorted(set(sizes))
+    if len(seen) < passes:
+        hypothesis.event("ran to the end")
+        assert stopped == whole and rest == splitters
+    else:
+        hypothesis.event("stopped")
+        assert stopped == seen[-1]
+    assert _refine(adj, stopped, rest) == whole
+
+
 @st.composite
 def rewrite_inputs(draw):
     """A graph with n <= 12 from one of the conftest builders, on a random base of 1 to 4 vertices.
