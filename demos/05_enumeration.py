@@ -5,12 +5,11 @@ the test suite checks it against an independent extend-everything-and-dedup
 route and against brute force over labeled graphs.
 """
 
-from totecc import ClassConstraint, count_class
-from totecc.enumeration import connected_graph_list
+from totecc import ClassConstraint, connected_graphs, count_class
 
 print("connected graphs per order (one representative per isomorphism class)")
 for n in range(1, 8):
-    print(f"  n={n}: {len(connected_graph_list(n))}")
+    print(f"  n={n}: {sum(1 for _ in connected_graphs(n))}")
 
 print("\nclass breakdown at n = 7")
 for constraint in [

@@ -2,7 +2,8 @@
 
 stdout carries machine-parseable payloads (graph6, JSON, CSV, or plain
 key=value lines); progress and human-facing summaries go to stderr.  Exit
-codes: 0 success, 1 theorem-verification failure, 2 usage error.
+codes: 0 success, 1 theorem-verification failure, 2 usage or output
+error, 141 (128 + SIGPIPE) when the reader of stdout has gone.
 Conjecture findings are reported but never affect the exit code.
 
 JSON payloads embed schema_version; the field inventory lives in
@@ -16,6 +17,7 @@ import csv
 import dataclasses
 import functools
 import json
+import os
 import sys
 from fractions import Fraction
 from typing import Sequence
@@ -213,17 +215,8 @@ def _parse_range(text: str) -> list[int]:
     return [int(text)]
 
 
-_CSV_FIELDS = [
-    "theorem",
-    "n",
-    "parameter",
-    "predicted_value",
-    "observed_value",
-    "class_size",
-    "uniqueness_checked",
-    "status",
-    "note",
-]
+#: The scalar Verdict fields in field order; the witness tuples stay out of CSV.
+_CSV_FIELDS = [f.name for f in dataclasses.fields(extremal.Verdict) if "tuple" not in str(f.type)]
 
 
 def _emit_verdicts(verdicts: list[extremal.Verdict], fmt: str) -> None:
@@ -270,12 +263,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_conjecture(args: argparse.Namespace) -> int:
-    orders, audited = _parse_range(args.n), extremal.CONJECTURE.orders
+    orders = _parse_range(args.n)
+    lo, hi = extremal.CONJECTURE.first, enumeration.MAX_EXHAUSTIVE
     for n in orders:
-        if n not in audited:
-            raise ValueError(
-                f"the conjecture audit covers {audited[0]} <= n <= {audited[-1]}, not n={n}"
-            )
+        if not lo <= n <= hi:
+            raise ValueError(f"the conjecture audit covers {lo} <= n <= {hi}, not n={n}")
     extremal.fold_orders(orders[0], orders[-1])
     verdicts: list[extremal.Verdict] = []
     for n in orders:
@@ -369,8 +361,15 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
-    except (ValueError, transforms.InvalidSiteError) as exc:
+        code = args.fn(args)
+        sys.stdout.flush()  # a reader that left shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # The reader left (`| head`): end as quietly as SIGPIPE would, with
+        # stdout on devnull so that the flush at exit writes nowhere.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
+    except (ValueError, OSError, transforms.InvalidSiteError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -9,17 +9,18 @@ their own automorphism group.  This emits exactly one representative per
 isomorphism class without keeping a global seen-set, so the stream is
 memory-flat, restartable and deterministic in order.
 
-The stream splits at one level: roots(n) lists its graphs of order
-min(n, 6) in stream order, subtree(root, n) yields the order-n graphs
-below one root, and connected_graphs(n) chains the subtrees in root
-order.  Subtrees processed apart and joined in root order give the
-stream exactly.  The graphs of every order below n are inner nodes of
-the tree to order n, so walk(lo, hi) hands out every graph of order
-lo..hi from one walk to hi, those of each order m being
-connected_graphs(m) in order: a range of orders is grown once, not once
-per order.  All of them hand out each graph with its number of cut
-vertices, found where the graph is accepted (see _walk), so a consumer
-that needs the count runs no cut-vertex search.
+One walk of the growth tree from K1 drives the stream:
+connected_graphs(n) is the order-n graphs of the walk to n.  The graphs
+of every order below n are inner nodes of that tree, so walk(lo, hi)
+hands out every graph of order lo..hi from one walk to hi, those of each
+order m being connected_graphs(m) in order: a range of orders is grown
+once, not once per order.  For parallel workers the walk splits at one
+level: roots(n) lists its graphs of order min(n, 6) in stream order and
+subtree(root, n) yields the order-n graphs below one root, so subtrees
+processed apart and joined in root order give the stream exactly.  All
+of them hand out each graph with its number of cut vertices, found where
+the graph is accepted (see _walk), so a consumer that needs the count
+runs no cut-vertex search.  check_order holds the one cap on n.
 
 Most children are decided without the canon search tree (McKay, J.
 Algorithms 26, 1998), and most before they are built.  The deletion
@@ -55,14 +56,13 @@ live in extremal.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Iterator
 
 from .canon import _refine, canon
 from .graph import Graph, bits, components_without
 
-#: Exhaustive enumeration cap; n = 10 (~11.7M classes) needs the explicit
-#: opt-in and realistically also parallel workers.
+#: The stream's cap on n, applied by check_order alone; n = 10 (~11.7M
+#: classes, about 7 minutes in one process) needs the explicit opt-in.
 MAX_EXHAUSTIVE = 9
 MAX_OPTIN = 10
 
@@ -346,17 +346,15 @@ def walk(lo: int, hi: int) -> Iterator[Root]:
 
 
 def connected_graphs(n: int, *, allow_large: bool = False) -> Iterator[Graph]:
-    """Exactly one representative per isomorphism class: roots(n)'s subtrees in order."""
-    for root in roots(n, allow_large):
-        for g, _ in subtree(root, n):
-            yield g
+    """Exactly one representative per isomorphism class of order n, in stream order."""
+    check_order(n, allow_large)
+    return (g for g, _, _ in _walk(_K1, (), 0, n, n, n))
 
 
-@lru_cache(maxsize=None)
 def connected_graph_list(n: int) -> tuple[Graph, ...]:
-    """Cached full list of class representatives, for callers that reuse it.
+    """Every class representative of order n at once: tuple(connected_graphs(n)).
 
-    It holds every class of order n at once; the extremal search folds
-    the stream instead and never fills this cache.
+    The package never calls it and keeps no copy; it stays as a public
+    name, and extremal binds it for perfbench's traced runs.
     """
     return tuple(connected_graphs(n))

@@ -15,14 +15,15 @@ the lower orders are inner nodes of that tree; verify and conjecture
 call it once for their range, and _fold(n) alone walks only to n.  The
 walk supplies each graph's cut-vertex count, so the fold runs no
 cut-vertex search.
-Each theorem is a table row: the orders and parameters it covers, and
-for each parameter one or more statements (class, objective, predicted
-extremum and extremal graphs), all checked by _check into Verdict
-records.  Uniqueness is asserted only where the source states an
-equivalence ("if and only if" / "uniquely"), otherwise only witness
-membership is required and the observed witness set is reported for
-inspection.  A conjecture violation is a reportable finding, never an
-exception.
+Each theorem is a table row: the least order it covers, its parameters
+per order, and for each parameter one or more statements (class,
+objective, predicted extremum and extremal graphs), all checked by
+_check into Verdict records.  A row names no greatest order: that is the
+stream's cap, which enumeration.check_order alone applies.  Uniqueness
+is asserted only where the source states an equivalence ("if and only
+if" / "uniquely"), otherwise only witness membership is required and the
+observed witness set is reported for inspection.  A conjecture violation
+is a reportable finding, never an exception.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from . import families, formulas, graph6
 from .canon import canonical_graph
 # connected_graph_list is unused here but stays bound: perfbench/spans.py
 # wraps it by this module's name.
-from .enumeration import MAX_EXHAUSTIVE, connected_graph_list, walk
+from .enumeration import MAX_EXHAUSTIVE, check_order, connected_graph_list, walk
 from .graph import Graph, cut_vertices, girth, pendant_vertices, total_eccentricity
 
 PASS = "pass"
@@ -348,9 +349,9 @@ class _Statement(NamedTuple):
 
 
 class _Theorem(NamedTuple):
-    """The orders a theorem covers, its parameters per order, and its statements."""
+    """The least order a theorem covers, its parameters per order, and its statements."""
 
-    orders: range
+    first: int
     parameters: Callable[[int], Iterable[int | None]]
     statements: tuple[_Statement, ...]
 
@@ -465,24 +466,21 @@ def _conjecture(n: int, s: int) -> _Prediction:
     return _Prediction(total_eccentricity(tad), [tad], False)
 
 
-# Every row runs up to the exhaustive cap.
-_STOP = MAX_EXHAUSTIVE + 1
-
 THEOREMS = {
     # Maximum and minimum total eccentricity with k pendant vertices.
     "pendant-max": _Theorem(
-        range(3, _STOP),
+        3,
         lambda n: range(0, n - 2),
         (_Statement("pendant-max", "pendant_count", "max", _pendant_max),),
     ),
     "pendant-min": _Theorem(
-        range(3, _STOP),
+        3,
         lambda n: range(0, n - 2),
         (_Statement("pendant-min", "pendant_count", "min", _pendant_min),),
     ),
     # Unicyclic minimum (pendant tadpole) and maximum (path tadpole).
     "unicyclic": _Theorem(
-        range(5, _STOP),
+        5,
         lambda n: (None,),
         (
             _Statement("unicyclic-min", "unicyclic", "min", _unicyclic_min),
@@ -491,18 +489,18 @@ THEOREMS = {
     ),
     # Minimum with s cut vertices, and the maximum where it is settled.
     "cut-min": _Theorem(
-        range(3, _STOP),
+        3,
         lambda n: range(0, n - 1),
         (_Statement("cut-min", "cut_count", "min", _cut_min),),
     ),
     "cut-max": _Theorem(
-        range(3, _STOP),
+        3,
         lambda n: sorted({0, 1, n - 3, n - 2} & set(range(0, n - 1))),
         (_Statement("cut-max", "cut_count", "max", _cut_max),),
     ),
     # Tree extremes with k pendant vertices, k = 2..n-1.
     "tree": _Theorem(
-        range(4, _STOP),
+        4,
         lambda n: range(2, n),
         (
             _Statement("tree-max", "tree_with_pendants", "max", _tree_max),
@@ -513,20 +511,22 @@ THEOREMS = {
 
 # The open case 2 <= s <= n-4 of the maximum with s cut vertices.
 CONJECTURE = _Theorem(
-    range(5, _STOP),
+    5,
     lambda n: range(2, n - 3),
     (_Statement("conjecture", "cut_count", "max", _conjecture),),
 )
 
 
 def verify_theorem(theorem: str, n: int) -> list[Verdict]:
-    """Dispatch one named theorem at one order (empty if n out of range)."""
+    """Dispatch one named theorem at one order: empty below the row's first order.
+
+    An order past the stream's cap raises check_order's ValueError.
+    """
     if theorem not in THEOREMS:
         raise ValueError(f"unknown theorem {theorem!r}; known: {sorted(THEOREMS)}")
+    check_order(n)
     row = THEOREMS[theorem]
-    if n not in row.orders:
-        return []
-    return _check(row, n)
+    return _check(row, n) if n >= row.first else []
 
 
 def check_conjecture(n: int) -> list[Verdict]:
@@ -535,9 +535,8 @@ def check_conjecture(n: int) -> list[Verdict]:
     A violation is reported as a structured finding (counterexample graphs
     in graph6 with their totals), not raised as an error.
     """
-    if n not in CONJECTURE.orders:
-        lo, hi = CONJECTURE.orders[0], CONJECTURE.orders[-1]
-        raise ValueError(f"check_conjecture needs {lo} <= n <= {hi}")
+    if not CONJECTURE.first <= n <= MAX_EXHAUSTIVE:
+        raise ValueError(f"check_conjecture needs {CONJECTURE.first} <= n <= {MAX_EXHAUSTIVE}")
     return [
         replace(
             v,

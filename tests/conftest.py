@@ -1,10 +1,11 @@
+import functools
 import os
 import random
 import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from totecc import families  # noqa: E402
+from totecc import enumeration, families  # noqa: E402
 from totecc.graph import Graph  # noqa: E402
 from totecc.transforms import (  # noqa: E402
     GraftSite,
@@ -18,6 +19,12 @@ CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853, 8: 11117, 9: 
 TREE_COUNTS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23, 9: 47}
 
 RUN_N9 = os.environ.get("TOTECC_RUN_N9") == "1"
+
+
+@functools.cache
+def connected_graph_list(n: int) -> tuple[Graph, ...]:
+    """Every class of order n, enumerated once per test session for the tests that reuse it."""
+    return enumeration.connected_graph_list(n)
 
 
 def random_connected_graph(rng: random.Random, n: int, extra_edges: int = 0) -> Graph:

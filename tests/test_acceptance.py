@@ -26,6 +26,7 @@ from conftest import (
     attach_cycles,
     attach_paths,
     attach_tadpole,
+    connected_graph_list,
     glue_relocate,
     random_connected_graph,
 )
@@ -41,7 +42,6 @@ from totecc import (
     transforms,
 )
 from totecc.canon import canonical_form, canonical_graph
-from totecc.enumeration import connected_graph_list
 from totecc.extremal import CONJECTURE_VIOLATED, PASS, check_conjecture, verify_theorem
 from totecc.graph import (
     Graph,
@@ -287,7 +287,7 @@ THEOREM_CASES = [
     (n, name)
     for n in range(3, 9)
     for name in sorted(extremal.THEOREMS)
-    if n in extremal.THEOREMS[name].orders
+    if n >= extremal.THEOREMS[name].first
 ]
 
 

@@ -4,6 +4,9 @@ import csv
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -17,6 +20,13 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def spawn(*argv, **kwargs):
+    """The CLI in its own interpreter, as a shell runs it."""
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parent.parent / "src")}
+    runner = "import sys; from totecc.cli import main; sys.exit(main())"
+    return subprocess.Popen([sys.executable, "-c", runner, *argv], env=env, **kwargs)
 
 
 @pytest.fixture()
@@ -417,3 +427,23 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             main(["search", "-n", "5"])
         assert exc.value.code == 2
+
+
+class TestOutputErrors:
+    def test_unopenable_output_file_is_exit_2(self, tmp_path):
+        target = str(tmp_path / "missing" / "x.g6")
+        pipes = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, "text": True}
+        proc = spawn("enumerate", "-n", "4", "--graph6-out", target, **pipes)
+        out, err = proc.communicate(timeout=60)
+        assert (proc.returncode, out) == (2, "")
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_reader_that_leaves_ends_quietly(self, workers):
+        # as after `| head -1`: status 128 + SIGPIPE and nothing on stderr
+        pipes = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE}
+        proc = spawn("enumerate", "-n", "8", "--workers", workers, **pipes)
+        assert proc.stdout.readline().strip()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert (proc.wait(timeout=60), err) == (141, b"")

@@ -1,12 +1,16 @@
-"""Every name the demos import from totecc exists, so a removed public name fails here."""
+"""Every demo runs to completion, and every name the demos import from totecc exists."""
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-DEMOS = sorted((Path(__file__).parent.parent / "demos").glob("*.py"))
+ROOT = Path(__file__).parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 def _totecc_imports(path):
@@ -31,3 +35,13 @@ def test_demo_imports_resolve(path):
         if not hasattr(importlib.import_module(module), name)
     ]
     assert not missing, f"{path.name} imports names that do not exist: {missing}"
+
+
+@pytest.mark.parametrize("path", DEMOS, ids=[p.name for p in DEMOS])
+def test_demo_runs(path):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run(
+        [sys.executable, str(path)], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip(), f"{path.name} printed nothing"

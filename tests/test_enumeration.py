@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import CONNECTED_COUNTS, RUN_N9, TREE_COUNTS
+from conftest import CONNECTED_COUNTS, RUN_N9, TREE_COUNTS, connected_graph_list
 from oracles import (
     accept_reference,
     connected_graphs_dedup,
@@ -29,7 +29,6 @@ from totecc.enumeration import (
     _is_cut,
     _parts,
     _subset_orbit_reps,
-    connected_graph_list,
     connected_graphs,
     roots,
     subtree,
@@ -58,10 +57,12 @@ class TestStream:
         assert list(connected_graphs(6)) == list(connected_graphs(6))
 
     def test_subtrees_in_root_order_are_the_stream(self):
-        # the roots have order min(n, 6); below 6 each root is its own subtree
-        for n in (1, 4, 6, 7):
-            rooted = [g for root in roots(n) for g, _ in subtree(root, n)]
-            assert rooted == list(connected_graphs(n))
+        # the roots have order min(n, 6); below 6 each root is its own
+        # subtree; the split gives the graphs and cut counts of one walk
+        for n in (1, 4, 6, 7, 8):
+            rooted = [node for root in roots(n) for node in subtree(root, n)]
+            assert [g for g, _ in rooted] == list(connected_graphs(n))
+            assert [c for _, c in rooted] == [c for _, _, c in walk(n, n)]
             assert len(roots(n)) == CONNECTED_COUNTS[min(n, 6)]
 
     @pytest.mark.parametrize("root_order, n", [(6, 5), (5, 7), (6, 8)])
@@ -677,8 +678,7 @@ class TestClasses:
 
     def test_fold_finds_cut_vertices_once_per_graph(self, monkeypatch):
         # the stream finds each graph's cut vertices as it accepts the
-        # graph, so the fold runs no search of its own, and it folds the
-        # stream without filling the cached class list
+        # graph, so the fold runs no search of its own
         calls = []
 
         def counting(g):
@@ -686,12 +686,10 @@ class TestClasses:
             return cut_vertices(g)
 
         monkeypatch.setattr(extremal, "cut_vertices", counting)
-        listed = connected_graph_list.cache_info()
         for n in range(1, 8):
-            extremal._fold_walk(n, n)  # uncached, leaving the cache as it is
+            extremal._fold_walk(n, n)  # uncached
         extremal._fold_walk(1, 7)  # every order from one walk
         assert calls == []
-        assert connected_graph_list.cache_info() == listed
 
     def test_fold_finds_pendants_once_per_graph(self, monkeypatch):
         # a tree is in both pendant kinds, which share one pendant count

@@ -249,7 +249,12 @@ class TestDispatch:
             verify_theorem("tree", 8)
 
     def test_range_validation(self):
-        assert verify_theorem("pendant-max", 10) == []
+        # the stream's cap is the only greatest order; below a row's
+        # first order there is nothing to check
+        for n in (0, 10):
+            with pytest.raises(ValueError, match=r"^exhaustive enumeration supports 1 <= n <= 9$"):
+                verify_theorem("pendant-max", n)
+        assert verify_theorem("unicyclic", 4) == []
         with pytest.raises(ValueError, match=r"^check_conjecture needs 5 <= n <= 9$"):
             check_conjecture(4)
 

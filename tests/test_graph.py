@@ -5,11 +5,11 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import connected_graph_list
 from oracles import block_graph, cut_vertices_by_deletion, distance_matrix, relabel_by_positions
 from totecc import families
 from totecc import graph as graph_module
 from totecc.canon import canonical_form
-from totecc.enumeration import connected_graph_list
 from totecc.graph import (
     UNREACHABLE,
     DisconnectedGraphError,

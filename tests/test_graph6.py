@@ -4,8 +4,8 @@ import random
 
 import pytest
 
+from conftest import connected_graph_list
 from totecc import families, graph6
-from totecc.enumeration import connected_graph_list
 from totecc.graph import Graph
 
 # Reference encodings per the published format description.

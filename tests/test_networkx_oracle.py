@@ -9,8 +9,7 @@ import random
 
 import pytest
 
-from conftest import random_connected_graph
-from totecc.enumeration import connected_graph_list
+from conftest import connected_graph_list, random_connected_graph
 from totecc.graph import (
     _bounded,
     _sweep,
