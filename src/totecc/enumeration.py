@@ -29,25 +29,33 @@ the child's initial equitable partition that holds a non-cut vertex, and
 a child whose new vertex lies outside it is rejected.  That partition is
 ordered by ascending degree, so the cell lies in the highest degree
 class holding a non-cut vertex: most children are decided from degrees
-alone, which the parent's degrees and the neighbor mask M give, and the
-child is built and refined only when another non-cut vertex shares the
-new vertex's degree |M|, and the refinement stops at the first pass
-after which its partial cells settle the outcome; canon then starts
-from that refinement, finished.  No cut
-test searches a child: each parent lists once the components of itself
-less each vertex, and a parent vertex is a cut vertex of a child iff M
-misses one of its components.  So with |M| >= 2 a non-cut vertex of the
-parent stays non-cut in the child, and its degree does not drop: a mask
-with 1 < |M| < D, where D is the largest degree of a non-cut parent
-vertex, is never tried.  When that part is the new vertex alone the
-child is accepted outright, and canon runs only if the child's
-automorphism generators are still needed to extend it: a child of the
-requested final order is emitted without them.  Such a child is also
-accepted without canon when every other vertex of that part is a twin of
-the new vertex (the two have the same neighbors apart from each other),
-since swapping twins is an automorphism; the twin test runs first on
-the non-cut vertices of the new vertex's degree, before any refinement.
-_accept holds the argument in full.
+alone, which the parent's degrees and the neighbor mask M give.
+
+No cut test searches a child: each parent lists once the components of
+itself less each vertex, and a parent vertex is a cut vertex of a child
+iff M misses one of its components.  So a non-cut vertex of the parent
+stays non-cut in the child unless M is that vertex alone.  Each parent
+therefore keeps, once, masks of its non-cut vertices by degree
+(DegreeMasks), and the degree step is a few ANDs on them plus one cut
+test per cut vertex of the parent; the child's cut count is read the
+same way.  With |M| >= 2 a non-cut vertex of the parent keeps its
+degree or gains one, so a mask with 1 < |M| < D, where D is the largest
+degree of a non-cut parent vertex, is never tried.
+
+The child is built and refined only when another non-cut vertex shares
+the new vertex's degree |M|.  The refinement starts from the child's
+degree cells, which the parent's vertices by degree and M give, and
+stops at the first pass after which its partial cells settle the
+outcome; canon then starts from that refinement, finished.  When the
+non-cut part of the last cell is the new vertex alone the child is
+accepted outright, and canon runs only if the child's automorphism
+generators are still needed to extend it: a child of the requested final
+order is emitted without them.  Such a child is also accepted without
+canon when every other vertex of that part is a twin of the new vertex
+(the two have the same neighbors apart from each other), since swapping
+twins is an automorphism; the twin test runs first on the non-cut
+vertices of the new vertex's degree, before any refinement.  _accept
+holds the argument in full.
 
 The independent oracles (extend everything and dedup by canonical form,
 brute force over labeled graphs) live with the tests.  Class predicates
@@ -77,6 +85,15 @@ Gens = tuple[tuple[int, ...], ...]
 Root = tuple[Graph, Gens | None, int]
 #: For each vertex v of a graph, the components of the graph less v.
 Parts = tuple[tuple[int, ...], ...]
+#: What the accept step reads of a parent g, found once per parent:
+#: (by_deg, eq, gt, lone, cuts).  by_deg[d] holds g's vertices of degree
+#: d, and eq[d] and gt[d] its non-cut vertices of degree d and of degree
+#: above d (each list indexed 0..g.n).  lone holds the non-cut vertices
+#: whose removal leaves one component: all of them but K1's.  cuts lists
+#: each cut vertex of g as (v, deg(v), components of g - v).
+DegreeMasks = tuple[
+    list[int], list[int], list[int], int, tuple[tuple[int, int, tuple[int, ...]], ...]
+]
 
 
 def _extend(g: Graph, mask: int) -> Graph:
@@ -102,6 +119,76 @@ def _is_cut(comps: tuple[int, ...], mask: int) -> bool:
     argument.
     """
     return not all(comp & mask for comp in comps)
+
+
+def _degree_masks(g: Graph, parts: Parts) -> DegreeMasks:
+    """The DegreeMasks of g, whose ``_parts`` are ``parts``."""
+    k = g.n
+    by_deg = [0] * (k + 1)
+    eq = [0] * (k + 1)
+    lone = 0
+    cuts = []
+    for v, (row, comps) in enumerate(zip(g.adj, parts)):
+        d = row.bit_count()
+        by_deg[d] |= 1 << v
+        if len(comps) > 1:
+            cuts.append((v, d, comps))
+        else:
+            eq[d] |= 1 << v
+            if comps:
+                lone |= 1 << v
+    gt = [0] * (k + 1)
+    for d in range(k - 1, -1, -1):
+        gt[d] = gt[d + 1] | eq[d + 1]
+    return by_deg, eq, gt, lone, tuple(cuts)
+
+
+def _noncut(masks: DegreeMasks, k: int, mask: int) -> int:
+    """The degree step: the child's non-cut vertices of degree |M|, or 0.
+
+    The child of the parent with DegreeMasks ``masks`` and order k is
+    joined to ``mask``.  Returns 0 if some non-cut vertex of the child has
+    a degree above |M|; otherwise the non-cut vertices of degree |M|, the
+    new vertex k among them.  _accept holds the argument.
+    """
+    _, eq, gt, lone, cuts = masks
+    dk = mask.bit_count()
+    # the lone vertex of a size-1 mask is cut off in the child
+    keep = ~(mask & lone) if dk == 1 else -1
+    if (gt[dk] | eq[dk] & mask) & keep:
+        return 0
+    noncut = 1 << k | (eq[dk] & ~mask | eq[dk - 1] & mask) & keep
+    for v, dv, comps in cuts:
+        dv += mask >> v & 1
+        if dv >= dk and not _is_cut(comps, mask):
+            if dv > dk:
+                return 0
+            noncut |= 1 << v
+    return noncut
+
+
+def _cut_count(masks: DegreeMasks, mask: int) -> int:
+    """The number of cut vertices of the child joined to ``mask`` (see _accept)."""
+    _, _, _, lone, cuts = masks
+    dropped = mask & (mask - 1) == 0 and mask & lone != 0
+    return dropped + sum(_is_cut(comps, mask) for _, _, comps in cuts)
+
+
+def _degree_cells(masks: DegreeMasks, k: int, mask: int) -> list[int]:
+    """The child's vertices by degree, ascending, empty classes left out.
+
+    A parent vertex v has degree deg(v) in the child, plus one if v is in
+    ``mask``, and the new vertex k has degree |M|.  Every child vertex has
+    degree 1 or more.
+    """
+    by_deg = masks[0]
+    dk = mask.bit_count()
+    cells = []
+    for d in range(1, k + 1):
+        cell = by_deg[d] & ~mask | by_deg[d - 1] & mask | (d == dk) << k
+        if cell:
+            cells.append(cell)
+    return cells
 
 
 def _twins(g: Graph, mask: int, vs: int) -> bool:
@@ -151,12 +238,12 @@ def _subset_orbit_reps(k: int, gens: Gens, low: int) -> Iterator[int]:
 
 
 def _accept(
-    g: Graph, deg: list[int], parts: Parts, mask: int, last: bool
+    g: Graph, masks: DegreeMasks, mask: int, last: bool
 ) -> tuple[Graph | None, Gens | None]:
     """The canonical-deletion test for the child of g joined to ``mask``.
 
-    ``deg`` and ``parts`` are g's degrees and ``_parts(g)``; the child's
-    new vertex k = g.n is its last.  Returns the child, or None if it is
+    ``masks`` is ``_degree_masks(g, _parts(g))``; the child's new vertex
+    k = g.n is its last.  Returns the child, or None if it is
     rejected, and the automorphism generators canon found for it, or None
     where canon did not run.  The child is built only once the degree
     step below has passed it.
@@ -198,8 +285,18 @@ def _accept(
     only non-cut vertex of its degree, ``cand`` is k alone; only when it
     is not does the refinement run, to find the last cell of that class
     with a non-cut vertex, and canon starts from that same refinement.
-    A parent vertex v has degree deg[v] in the child, plus one if v is in
-    M, so this whole step reads the parent.
+    A parent vertex v has degree deg(v) in the child, plus one if v is in
+    M, so this whole step reads the parent: _noncut runs it on masks the
+    parent keeps, as the cut argument below shows.
+
+    The refinement starts after its first pass.  That pass splits the
+    child's vertices into its degree cells, in ascending order, and queues
+    them as splitters (one cell, nothing queued, for a regular child).
+    _degree_cells builds the same cells from the parent's vertices by
+    degree and M, so _refine starts from them with them as splitters.
+    The pass could not have settled the outcome (see below): its ``cand``
+    is ``noncut``, which holds k and some other vertex, and with ``last``
+    they are not all twins of k, or the child was accepted before.
 
     The refinement often settles the outcome before it ends.  It splits
     cells only in place, so after any pass the final ``cand`` lies in the
@@ -223,24 +320,31 @@ def _accept(
     the parent K1: K1 - v has no component, and the child K2 has no cut
     vertex.
 
+    So a non-cut vertex v of g, whose g - v has one component (every
+    non-cut vertex but K1's: ``lone`` in DegreeMasks), is a cut vertex of
+    the child iff M == {v}; let ``drop`` be M's vertex if so, and empty
+    otherwise.  The child's non-cut vertices that g has as non-cut are
+    then, by child degree, those of g's degree d less M plus those of g's
+    degree d - 1 in M, less ``drop``.  _noncut rejects the child when
+    those of child degree above |M|, ``gt[|M|]`` and ``eq[|M|] & M`` less
+    ``drop``, are not empty, and otherwise starts ``noncut`` from those of
+    child degree |M|.  Only g's cut vertices need a cut test each, and
+    the child's cut count (_cut_count) is one for a non-empty ``drop``
+    plus the cut vertices of g that stay cut.
+
     This bounds |M| before any test (``_walk`` passes the bound to
     ``_subset_orbit_reps``).  Let v be a non-cut vertex of g, so g - v has
     at most one component.  If |M| >= 2, M meets g - v, so v is not cut
-    in the child either, and its degree there is at least deg[v].  A mask
-    with 1 < |M| < deg[v] is therefore always rejected.  If |M| == 1, the
+    in the child either, and its degree there is at least deg(v).  A mask
+    with 1 < |M| < deg(v) is therefore always rejected.  If |M| == 1, the
     one vertex u in M becomes a cut vertex of the child (k hangs from it)
     unless g is K1, so the bound does not hold for u, and size-1 masks all
     reach the degree step.
     """
     k = g.n
-    dk = mask.bit_count()
-    noncut = 1 << k
-    for v in range(k):
-        dv = deg[v] + (mask >> v & 1)
-        if dv >= dk and not _is_cut(parts[v], mask):
-            if dv > dk:
-                return None, None
-            noncut |= 1 << v
+    noncut = _noncut(masks, k, mask)
+    if not noncut:
+        return None, None
     child = _extend(g, mask)
     if last and _twins(g, mask, noncut ^ 1 << k):
         return child, None
@@ -256,9 +360,9 @@ def _accept(
                     break
             return cand == 1 << k or not cand >> k & 1 or last and _twins(g, mask, cand ^ 1 << k)
 
-        full = (1 << k + 1) - 1
-        rest = [full]
-        initial = _refine(child.adj, [full], rest, settled)
+        cells = _degree_cells(masks, k, mask)
+        rest = cells[:] if len(cells) > 1 else []
+        initial = _refine(child.adj, cells, rest, settled)
         if not cand >> k & 1:
             return None, None
         if last and _twins(g, mask, cand ^ 1 << k):
@@ -286,17 +390,16 @@ def _walk(g: Graph, gens: Gens | None, cuts: int, lo: int, hi: int, n: int) -> I
         yield g, gens, cuts
     if g.n == hi:
         return
-    parts = _parts(g)
-    deg = [row.bit_count() for row in g.adj]
-    # the largest degree of a non-cut vertex bounds |M| (see _accept)
-    low = max(d for d, comps in zip(deg, parts) if len(comps) <= 1)
+    masks = _degree_masks(g, _parts(g))
+    # the largest degree of a non-cut vertex (eq's last non-empty entry)
+    # bounds |M| (see _accept)
+    low = max(d for d, vs in enumerate(masks[1]) if vs)
     last = g.n + 1 == n
     leaf = g.n + 1 == hi
     for mask in _subset_orbit_reps(g.n, gens, low):
-        child, child_gens = _accept(g, deg, parts, mask, last)
+        child, child_gens = _accept(g, masks, mask, last)
         if child is not None:
-            # the new vertex is never a cut vertex of the child (see _accept)
-            child_cuts = sum(_is_cut(comps, mask) for comps in parts)
+            child_cuts = _cut_count(masks, mask)
             if leaf:
                 yield child, child_gens, child_cuts
             else:

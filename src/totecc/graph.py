@@ -281,6 +281,10 @@ def eccentricities(g: Graph) -> tuple[int, ...]:
     runs many rounds of many ORs, never pay more than that.
     """
     n = g.n
+    # The budget grows with m, so when even K_n's cannot buy three BFS
+    # (n <= 13) the edges need no count.
+    if _budget(n, n * (n - 1), n - 1) < 3:
+        return _sweep(g.adj)
     twice_m = 2 * g.edge_count
     if _budget(n, twice_m, n - 1) < 3:
         return _sweep(g.adj)

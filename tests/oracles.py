@@ -174,6 +174,26 @@ def swaps_with_last(child: Graph, vs: int) -> bool:
     return True
 
 
+def degree_step_by_vertex(g: Graph, parts: Parts, mask: int) -> int:
+    """enumeration._noncut as one loop over every vertex of the parent g.
+
+    Vertex v has degree deg(v) + [v in mask] in the child joined to
+    ``mask``, and its cut test reads ``parts[v]``.  Returns 0 if some
+    non-cut vertex of the child has a degree above |M|, else the child's
+    non-cut vertices of degree |M|, the new vertex g.n among them.
+    """
+    k = g.n
+    dk = mask.bit_count()
+    noncut = 1 << k
+    for v in range(k):
+        dv = g.degree(v) + (mask >> v & 1)
+        if dv >= dk and not _is_cut(parts[v], mask):
+            if dv > dk:
+                return 0
+            noncut |= 1 << v
+    return noncut
+
+
 def accept_reference(child: Graph, last: bool, parts: Parts) -> tuple[bool, Gens | None]:
     """enumeration._accept with the degree step read from the built child.
 

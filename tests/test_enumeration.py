@@ -11,6 +11,7 @@ from oracles import (
     accept_reference,
     connected_graphs_dedup,
     cut_vertices_by_deletion,
+    degree_step_by_vertex,
     distance_matrix,
     fold_per_order,
     labeled_connected_count,
@@ -25,8 +26,12 @@ from totecc.cli import main
 from totecc.canon import _refine, canon, canonical_form, canonical_graph
 from totecc.enumeration import (
     _accept,
+    _cut_count,
+    _degree_cells,
+    _degree_masks,
     _extend,
     _is_cut,
+    _noncut,
     _parts,
     _subset_orbit_reps,
     connected_graphs,
@@ -247,8 +252,7 @@ def size_bound(parent, parts):
 
 def decide(parent, mask, last, parts):
     """_accept on the parent's side, as (accepted, generators) like the oracles."""
-    deg = [parent.degree(v) for v in range(parent.n)]
-    child, gens = _accept(parent, deg, parts, mask, last)
+    child, gens = _accept(parent, _degree_masks(parent, parts), mask, last)
     if child is not None:
         assert child == _extend(parent, mask)
     return child is not None, gens
@@ -315,7 +319,70 @@ def check_against_refine_oracle(max_order):
     return tried
 
 
+def check_degree_step(max_order):
+    """The per-parent masks against the per-vertex loop on every candidate.
+
+    Both give the same reject and the same non-cut set, and the child's
+    cut count is the deletion oracle's; returns (candidates, rejects).
+    """
+    tried = rejected = 0
+    for parent, mask, child in candidates(max_order):
+        parts = _parts(parent)
+        masks = _degree_masks(parent, parts)
+        noncut = _noncut(masks, parent.n, mask)
+        assert noncut == degree_step_by_vertex(parent, parts, mask), (parent, mask)
+        assert _cut_count(masks, mask) == len(cut_vertices_by_deletion(child)), (parent, mask)
+        tried += 1
+        rejected += not noncut
+    return tried, rejected
+
+
 class TestAcceptTest:
+    def test_degree_masks_match_vertex_loop(self):
+        tried, rejected = check_degree_step(6)
+        assert tried == 4159 and 0 < rejected < tried
+
+    @pytest.mark.optin_n9
+    @pytest.mark.skipif(not RUN_N9, reason="set TOTECC_RUN_N9=1 for order-9 runs")
+    def test_degree_masks_match_vertex_loop_n8(self):
+        tried, rejected = check_degree_step(7)
+        assert tried == 71300 and 0 < rejected < tried
+
+    def test_degree_masks_of_a_parent(self):
+        # the masks read straight from their definitions
+        for m in range(1, 8):
+            for g in connected_graph_list(m):
+                parts = _parts(g)
+                by_deg, eq, gt, lone, cuts = _degree_masks(g, parts)
+                noncut = [v for v in range(m) if len(parts[v]) <= 1]
+                for d in range(m + 1):
+                    assert by_deg[d] == sum(1 << v for v in range(m) if g.degree(v) == d)
+                    assert eq[d] == sum(1 << v for v in noncut if g.degree(v) == d)
+                    assert gt[d] == sum(1 << v for v in noncut if g.degree(v) > d)
+                assert lone == sum(1 << v for v in noncut if len(parts[v]) == 1)
+                assert lone == (0 if m == 1 else sum(1 << v for v in noncut))
+                assert cuts == tuple(
+                    (v, g.degree(v), parts[v]) for v in range(m) if len(parts[v]) > 1
+                )
+
+    def test_degree_cells_are_the_first_refinement_pass(self):
+        # _accept starts its refinement from the child's degree cells, built
+        # from the parent: they are the cells and splitters that the first
+        # pass of _refine(adj, [full], [full]) leaves, and refining on from
+        # them gives the reference's cells
+        regular = 0
+        for parent, mask, child in candidates(6):
+            full = (1 << child.n) - 1
+            cells = _degree_cells(_degree_masks(parent, _parts(parent)), parent.n, mask)
+            rest = [full]
+            assert _refine(child.adj, [full], rest, lambda out: True) == cells, (parent, mask)
+            # a regular child has one cell, is never split, and never stops
+            assert rest == (cells if len(cells) > 1 else [full]), (parent, mask)
+            resumed = _refine(child.adj, cells, cells[:] if len(cells) > 1 else [])
+            assert resumed == refine_reference(child.adj, [full], [full]), (parent, mask)
+            regular += cells == [full]
+        assert regular > 0
+
     def test_fast_decision_matches_canon_oracle(self):
         # every candidate child of every stream parent of order <= 6
         tried = prefiltered = shortcut = twins = 0

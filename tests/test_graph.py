@@ -253,6 +253,23 @@ class TestEccentricitiesSweep:
             eccentricities(g)
             assert calls == ["sweep"]
 
+    def test_small_graphs_count_no_edges(self, monkeypatch):
+        # Even K13's edge count leaves the route at the sweep, so graphs with
+        # n <= 13 go there before any row is summed; K14 is the first to count.
+        counted = []
+
+        def edge_count(g):
+            counted.append(g.n)
+            return sum(row.bit_count() for row in g.adj) // 2
+
+        monkeypatch.setattr(Graph, "edge_count", property(edge_count))
+        small = [families.complete(13)] + [g for n in range(1, 9) for g in connected_graph_list(n)]
+        for g in small:
+            assert eccentricities(g) == _sweep(g.adj), g
+        assert counted == []
+        eccentricities(families.complete(14))
+        assert counted == [14]
+
     def test_byte_table_lists_each_bytes_bits(self):
         assert len(_BYTE_BITS) == 256
         assert all(_BYTE_BITS[r] == tuple(bits(r)) for r in range(256))
