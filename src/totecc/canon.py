@@ -82,11 +82,8 @@ def _refine(
     w, in that order, with no loop over the cell's vertices.
 
     With ``stop``, ``stop(cells)`` is asked after every pass that splits
-    a cell.  If it returns true the refinement ends there: the partition
-    so far is returned and ``splitters`` is set, in place, to the
-    splitters not yet used, so ``_refine(adj, cells, splitters)`` then
-    finishes it with the cells one uninterrupted run would give.
-    ``splitters`` is left as it is otherwise.
+    a cell.  If it returns true the refinement ends there and the
+    partition so far is returned.
     """
     n = len(adj)
     queue = list(splitters)
@@ -123,7 +120,6 @@ def _refine(
                     out.extend(parts)
                     queue.extend(parts)
         if stop is not None and len(out) > len(cells) and stop(out):
-            splitters[:] = queue[qi:]
             return out
         cells = out
     return cells

@@ -2,8 +2,8 @@
 
 stdout carries machine-parseable payloads (graph6, JSON, CSV, or plain
 key=value lines); progress and human-facing summaries go to stderr.  Exit
-codes: 0 success, 1 theorem-verification failure, 2 usage or output
-error, 141 (128 + SIGPIPE) when the reader of stdout has gone.
+codes: 0 success, 1 theorem-verification failure, 2 usage, output or
+worker-pool error, 141 (128 + SIGPIPE) when the reader of stdout has gone.
 Conjecture findings are reported but never affect the exit code.
 
 JSON payloads embed schema_version; the field inventory lives in
@@ -168,14 +168,20 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     try:
         count = 0
         if args.workers > 1:
-            import multiprocessing
+            from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
+            from multiprocessing import get_context
 
             roots = enumeration.roots(args.n, args.allow_large)
             job = functools.partial(_subtree_lines, n=args.n, constraint=constraint)
-            with multiprocessing.get_context("spawn").Pool(min(args.workers, len(roots))) as pool:
-                for lines in pool.imap(job, roots):
+            pool = ProcessPoolExecutor(min(args.workers, len(roots)), mp_context=get_context("spawn"))
+            try:
+                for lines in pool.map(job, roots):
                     out.writelines(line + "\n" for line in lines)
                     count += len(lines)
+            except BrokenExecutor as exc:  # a worker died, at start-up say: never wait
+                raise ChildProcessError(f"worker pool failed: {exc}") from exc
+            finally:  # on an early exit, drop the subtrees no worker has begun
+                pool.shutdown(cancel_futures=True)
         else:
             graphs = enumeration.connected_graphs(args.n, allow_large=args.allow_large)
             for g in filter_graphs(graphs, constraint):

@@ -45,17 +45,17 @@ degree of a non-cut parent vertex, is never tried.
 The child is built and refined only when another non-cut vertex shares
 the new vertex's degree |M|.  The refinement starts from the child's
 degree cells, which the parent's vertices by degree and M give, and
-stops at the first pass after which its partial cells settle the
-outcome; canon then starts from that refinement, finished.  When the
-non-cut part of the last cell is the new vertex alone the child is
-accepted outright, and canon runs only if the child's automorphism
-generators are still needed to extend it: a child of the requested final
-order is emitted without them.  Such a child is also accepted without
-canon when every other vertex of that part is a twin of the new vertex
-(the two have the same neighbors apart from each other), since swapping
-twins is an automorphism; the twin test runs first on the non-cut
-vertices of the new vertex's degree, before any refinement.  _accept
-holds the argument in full.
+stops at the first pass whose cells settle the outcome, so each child
+is decided once.  When the non-cut part of the last cell is the new
+vertex alone the child is accepted outright, and canon runs only if the
+child's automorphism generators are still needed to extend it: a child
+of the requested final order is emitted without them.  Such a child is
+also accepted without canon when every other vertex of that part is a
+twin of the new vertex (the two have the same neighbors apart from each
+other), since swapping twins is an automorphism; the twin test runs
+first on the non-cut vertices of the new vertex's degree, before any
+refinement.  Canon starts from the refinement only where it ran to the
+end.  _accept holds the argument in full.
 
 The independent oracles (extend everything and dedup by canonical form,
 brute force over labeled graphs) live with the tests.  Class predicates
@@ -284,7 +284,7 @@ def _accept(
     above k's class, and the child is rejected.  Otherwise, if k is the
     only non-cut vertex of its degree, ``cand`` is k alone; only when it
     is not does the refinement run, to find the last cell of that class
-    with a non-cut vertex, and canon starts from that same refinement.
+    with a non-cut vertex.
     A parent vertex v has degree deg(v) in the child, plus one if v is in
     M, so this whole step reads the parent: _noncut runs it on masks the
     parent keeps, as the cut argument below shows.
@@ -305,12 +305,11 @@ def _accept(
     a cell and leaves that part without k (reject), equal to {k} (then
     ``cand`` is {k}), or, with ``last``, with every other vertex a twin
     of k (accept; the twins share k's orbit, so ``cand`` is that part).
-    If no pass settles it, the refinement runs to the end, and its
-    ``cand`` holds k and some vertex that canon must place.  A child
-    stopped at {k} below the final order still needs its generators, so
-    the refinement is resumed from the cells and splitters it stopped
-    with (see _refine), and canon starts from the same partition as after
-    one uninterrupted refinement.
+    If no pass settles it, the refinement runs to the end, and canon
+    starts from its cells to place k and the rest of ``cand``.
+    ``settled`` records whether it stopped, so each child is decided
+    once.  A child stopped at {k} below the final order still needs its
+    generators: canon refines it from the unit partition, to the same cells.
 
     No cut test searches the child.  The child less a parent vertex v is
     g - v plus k, and k is joined to the components of g - v that meet M.
@@ -351,40 +350,38 @@ def _accept(
     cand = noncut
     initial = None
     if noncut != 1 << k:
+        stopped = False
 
         def settled(cells: list[int]) -> bool:
-            nonlocal cand
+            nonlocal cand, stopped
             for cell in reversed(cells):
                 cand = cell & noncut
                 if cand:
                     break
-            return cand == 1 << k or not cand >> k & 1 or last and _twins(g, mask, cand ^ 1 << k)
+            stopped = cand == 1 << k or not cand >> k & 1 or last and _twins(g, mask, cand ^ 1 << k)
+            return stopped
 
         cells = _degree_cells(masks, k, mask)
-        rest = cells[:] if len(cells) > 1 else []
-        initial = _refine(child.adj, cells, rest, settled)
+        initial = _refine(child.adj, cells, cells, settled)
         if not cand >> k & 1:
             return None, None
-        if last and _twins(g, mask, cand ^ 1 << k):
-            return child, None
-        if cand == 1 << k:
-            # stopped early, and canon starts from the finished refinement
-            initial = _refine(child.adj, initial, rest)
+        if stopped:
+            if last:
+                return child, None
+            # cand == {k}: canon refines the child from the unit partition
+            initial = None
     res = canon(child, initial)
     deletion = max(bits(cand), key=res.labeling.index)
     return (child if res.orbits[k] == res.orbits[deletion] else None), res.generators
 
 
-def _walk(g: Graph, gens: Gens | None, cuts: int, lo: int, hi: int, n: int) -> Iterator[Root]:
+def _walk(g: Graph, gens: Gens | None, cuts: int, lo: int, hi: int) -> Iterator[Root]:
     """The stream's graphs of orders lo..hi at and below ``g``, in stream order.
 
     Each comes with its generators and its number of cut vertices;
     ``cuts`` is g's.  A graph comes before the graphs below it, and
-    siblings come in mask order.  ``n`` >= hi is the final order the
-    caller asked for: graphs of order n come with None generators where
-    _accept skipped canon, and no other graph does.  _accept skips canon
-    at order n when the new vertex is the only candidate for the
-    deletion vertex, or every other candidate is its twin.
+    siblings come in mask order.  Only graphs of order hi may come with
+    None generators, where _accept skipped canon.
     """
     if g.n >= lo:
         yield g, gens, cuts
@@ -394,16 +391,15 @@ def _walk(g: Graph, gens: Gens | None, cuts: int, lo: int, hi: int, n: int) -> I
     # the largest degree of a non-cut vertex (eq's last non-empty entry)
     # bounds |M| (see _accept)
     low = max(d for d, vs in enumerate(masks[1]) if vs)
-    last = g.n + 1 == n
-    leaf = g.n + 1 == hi
+    last = g.n + 1 == hi
     for mask in _subset_orbit_reps(g.n, gens, low):
         child, child_gens = _accept(g, masks, mask, last)
         if child is not None:
             child_cuts = _cut_count(masks, mask)
-            if leaf:
+            if last:
                 yield child, child_gens, child_cuts
             else:
-                yield from _walk(child, child_gens, child_cuts, lo, hi, n)
+                yield from _walk(child, child_gens, child_cuts, lo, hi)
 
 
 def check_order(n: int, allow_large: bool = False) -> None:
@@ -416,10 +412,12 @@ def check_order(n: int, allow_large: bool = False) -> None:
 def roots(n: int, allow_large: bool = False) -> list[Root]:
     """The stream's graphs of order min(n, 6) with their generators, in stream order."""
     check_order(n, allow_large)
-    # Pass n, not the root level, as the final order: roots below n are
-    # extended further and need their generators.
     top = min(n, _ROOT_LEVEL)
-    return list(_walk(_K1, (), 0, top, top, n))
+    # roots below n are extended, so each needs the generators the walk may skip
+    return [
+        (g, canon(g).generators if gens is None and top < n else gens, cuts)
+        for g, gens, cuts in _walk(_K1, (), 0, top, top)
+    ]
 
 
 def subtree(root: Root, n: int) -> Iterator[tuple[Graph, int]]:
@@ -431,7 +429,7 @@ def subtree(root: Root, n: int) -> Iterator[tuple[Graph, int]]:
     # A root below order n must carry the generators roots(n) gives it.
     if g.n != min(n, _ROOT_LEVEL) or gens is None and g.n < n:
         raise ValueError(f"not one of roots({n})")
-    return ((child, c) for child, _, c in _walk(g, gens, cuts, n, n, n))
+    return ((child, c) for child, _, c in _walk(g, gens, cuts, n, n))
 
 
 def walk(lo: int, hi: int) -> Iterator[Root]:
@@ -445,13 +443,13 @@ def walk(lo: int, hi: int) -> Iterator[Root]:
     check_order(hi)
     if not 1 <= lo <= hi:
         raise ValueError(f"walk needs 1 <= lo <= hi, got lo={lo}, hi={hi}")
-    return _walk(_K1, (), 0, lo, hi, hi)
+    return _walk(_K1, (), 0, lo, hi)
 
 
 def connected_graphs(n: int, *, allow_large: bool = False) -> Iterator[Graph]:
     """Exactly one representative per isomorphism class of order n, in stream order."""
     check_order(n, allow_large)
-    return (g for g, _, _ in _walk(_K1, (), 0, n, n, n))
+    return (g for g, _, _ in _walk(_K1, (), 0, n, n))
 
 
 def connected_graph_list(n: int) -> tuple[Graph, ...]:

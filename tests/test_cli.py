@@ -438,6 +438,22 @@ class TestOutputErrors:
         assert (proc.returncode, out) == (2, "")
         assert err.startswith("error: ") and "Traceback" not in err
 
+    def test_workers_that_cannot_start_are_exit_2(self):
+        # a spawned worker re-imports the main module, which a script read
+        # from stdin does not have: every worker dies at start-up, and the
+        # pool must fail at once rather than wait for them
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).parent.parent / "src")}
+        script = (
+            "import sys\n"
+            "from totecc import cli\n"
+            "sys.exit(cli.main(['enumerate', '-n', '7', '--workers', '2']))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-"], input=script, capture_output=True, text=True, env=env, timeout=60
+        )
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert any(line.startswith("error: ") for line in proc.stderr.splitlines())
+
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_reader_that_leaves_ends_quietly(self, workers):
         # as after `| head -1`: status 128 + SIGPIPE and nothing on stderr

@@ -70,6 +70,12 @@ class TestStream:
             assert [c for _, c in rooted] == [c for _, _, c in walk(n, n)]
             assert len(roots(n)) == CONNECTED_COUNTS[min(n, 6)]
 
+    @pytest.mark.parametrize("n", [7, 8])
+    def test_roots_carry_canon_generators(self, n):
+        # the walk to order 6 skips canon on most roots; extended further,
+        # each must carry the generators canon finds for it
+        assert all(gens == canon(g).generators for g, gens, _ in roots(n))
+
     @pytest.mark.parametrize("root_order, n", [(6, 5), (5, 7), (6, 8)])
     def test_subtree_rejects_roots_of_another_stream(self, root_order, n):
         # below the wrong order the stream would grow without end; a root
@@ -367,19 +373,17 @@ class TestAcceptTest:
 
     def test_degree_cells_are_the_first_refinement_pass(self):
         # _accept starts its refinement from the child's degree cells, built
-        # from the parent: they are the cells and splitters that the first
-        # pass of _refine(adj, [full], [full]) leaves, and refining on from
-        # them gives the reference's cells
+        # from the parent: they are the cells that the first pass of
+        # _refine(adj, [full], [full]) leaves, and refining on from them,
+        # with them as splitters, gives the reference's cells
         regular = 0
         for parent, mask, child in candidates(6):
             full = (1 << child.n) - 1
             cells = _degree_cells(_degree_masks(parent, _parts(parent)), parent.n, mask)
-            rest = [full]
-            assert _refine(child.adj, [full], rest, lambda out: True) == cells, (parent, mask)
-            # a regular child has one cell, is never split, and never stops
-            assert rest == (cells if len(cells) > 1 else [full]), (parent, mask)
-            resumed = _refine(child.adj, cells, cells[:] if len(cells) > 1 else [])
-            assert resumed == refine_reference(child.adj, [full], [full]), (parent, mask)
+            assert _refine(child.adj, [full], [full], lambda out: True) == cells, (parent, mask)
+            refined = _refine(child.adj, cells, cells)
+            assert refined == refine_reference(child.adj, [full], [full]), (parent, mask)
+            # a regular child has one cell, which its degrees never split
             regular += cells == [full]
         assert regular > 0
 
@@ -496,11 +500,12 @@ class TestAcceptTest:
         # the degree step, read from the parents, builds 1,324 children and
         # refines 777 of them: at the last level a child whose other
         # non-cut vertices of degree |M| are all twins of the new one is
-        # accepted unrefined.  12 refinements stop at cand == {k} below the
-        # last level and are resumed for canon, 12 more calls.  The cut
-        # tests read the components of each of the 143 parents less each
-        # vertex, one search per component, and search no child
-        calls = {"_extend": 0, "_refine": 0, "_reach": 0, "_tarjan": 0}
+        # accepted unrefined.  At the last level _twins runs once on each
+        # built child and at most once per splitting pass of its
+        # refinement, never after it.  The cut tests read the components
+        # of each of the 143 parents less each vertex, one search per
+        # component, and search no child
+        calls = {"_extend": 0, "_refine": 0, "_twins": 0, "_reach": 0, "_tarjan": 0}
 
         def counting(module, name):
             original = getattr(module, name)
@@ -513,10 +518,13 @@ class TestAcceptTest:
 
         counting(enumeration, "_extend")
         counting(enumeration, "_refine")
+        counting(enumeration, "_twins")
         counting(graph, "_reach")
         counting(graph, "_tarjan")
         assert sum(1 for _ in connected_graphs(7)) == 853
-        assert calls == {"_extend": 1324, "_refine": 789, "_reach": 940, "_tarjan": 0}
+        assert calls == {
+            "_extend": 1324, "_refine": 777, "_twins": 1543, "_reach": 940, "_tarjan": 0
+        }
 
     def test_canon_calls_pinned(self, monkeypatch):
         # canon on every candidate would be 4,159 calls; the pre-test and the
