@@ -150,12 +150,13 @@ def _cmd_rewrite(args: argparse.Namespace) -> int:
     return 0
 
 
-def _subtree_lines(
-    root: enumeration.Root, n: int, constraint: extremal.ClassConstraint
-) -> list[str]:
-    """graph6 lines of the class members in one subtree of the stream."""
+def _subtree_text(root: enumeration.Node, n: int, constraint: extremal.ClassConstraint) -> str:
+    """The graph6 lines of the class members in one subtree of the stream, as one string."""
     graphs = (g for g, _ in enumeration.subtree(root, n))
-    return [graph6.encode(g) for g in filter_graphs(graphs, constraint)]
+    text = bytearray()  # no per-line list, in the worker or after unpickling
+    for g in filter_graphs(graphs, constraint):
+        text += graph6.encode(g).encode() + b"\n"
+    return text.decode()
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
@@ -172,12 +173,12 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
             from multiprocessing import get_context
 
             roots = enumeration.roots(args.n, args.allow_large)
-            job = functools.partial(_subtree_lines, n=args.n, constraint=constraint)
+            job = functools.partial(_subtree_text, n=args.n, constraint=constraint)
             pool = ProcessPoolExecutor(min(args.workers, len(roots)), mp_context=get_context("spawn"))
             try:
-                for lines in pool.map(job, roots):
-                    out.writelines(line + "\n" for line in lines)
-                    count += len(lines)
+                for text in pool.map(job, roots):
+                    out.write(text)
+                    count += text.count("\n")
             except BrokenExecutor as exc:  # a worker died, at start-up say: never wait
                 raise ChildProcessError(f"worker pool failed: {exc}") from exc
             finally:  # on an early exit, drop the subtrees no worker has begun

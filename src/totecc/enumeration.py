@@ -20,7 +20,8 @@ subtree(root, n) yields the order-n graphs below one root, so subtrees
 processed apart and joined in root order give the stream exactly.  All
 of them hand out each graph with its number of cut vertices, found where
 the graph is accepted (see _walk), so a consumer that needs the count
-runs no cut-vertex search.  check_order holds the one cap on n.
+runs no cut-vertex search; the generators stay in the walk.  check_order
+holds the one cap on n.
 
 Most children are decided without the canon search tree (McKay, J.
 Algorithms 26, 1998), and most before they are built.  The deletion
@@ -80,9 +81,8 @@ _K1 = Graph(1, (0,))
 
 #: Automorphism generators as canon returns them, one image tuple each.
 Gens = tuple[tuple[int, ...], ...]
-#: A graph of the stream with its generators (None where canon was
-#: skipped) and its number of cut vertices.
-Root = tuple[Graph, Gens | None, int]
+#: A graph of the stream with its number of cut vertices.
+Node = tuple[Graph, int]
 #: For each vertex v of a graph, the components of the graph less v.
 Parts = tuple[tuple[int, ...], ...]
 #: What the accept step reads of a parent g, found once per parent:
@@ -375,16 +375,16 @@ def _accept(
     return (child if res.orbits[k] == res.orbits[deletion] else None), res.generators
 
 
-def _walk(g: Graph, gens: Gens | None, cuts: int, lo: int, hi: int) -> Iterator[Root]:
+def _walk(g: Graph, gens: Gens, cuts: int, lo: int, hi: int) -> Iterator[Node]:
     """The stream's graphs of orders lo..hi at and below ``g``, in stream order.
 
-    Each comes with its generators and its number of cut vertices;
-    ``cuts`` is g's.  A graph comes before the graphs below it, and
-    siblings come in mask order.  Only graphs of order hi may come with
-    None generators, where _accept skipped canon.
+    Each comes with its number of cut vertices; ``gens`` and ``cuts`` are
+    g's.  A graph comes before the graphs below it, and siblings come in
+    mask order.  A child's generators go only to the walk below it, so
+    none is needed where _accept skipped canon: at order hi.
     """
     if g.n >= lo:
-        yield g, gens, cuts
+        yield g, cuts
     if g.n == hi:
         return
     masks = _degree_masks(g, _parts(g))
@@ -397,7 +397,7 @@ def _walk(g: Graph, gens: Gens | None, cuts: int, lo: int, hi: int) -> Iterator[
         if child is not None:
             child_cuts = _cut_count(masks, mask)
             if last:
-                yield child, child_gens, child_cuts
+                yield child, child_cuts
             else:
                 yield from _walk(child, child_gens, child_cuts, lo, hi)
 
@@ -409,36 +409,33 @@ def check_order(n: int, allow_large: bool = False) -> None:
         raise ValueError(f"exhaustive enumeration supports 1 <= n <= {cap}")
 
 
-def roots(n: int, allow_large: bool = False) -> list[Root]:
-    """The stream's graphs of order min(n, 6) with their generators, in stream order."""
+def roots(n: int, allow_large: bool = False) -> list[Node]:
+    """The stream's graphs of order min(n, 6), in stream order: walk(top, top) as a list."""
     check_order(n, allow_large)
     top = min(n, _ROOT_LEVEL)
-    # roots below n are extended, so each needs the generators the walk may skip
-    return [
-        (g, canon(g).generators if gens is None and top < n else gens, cuts)
-        for g, gens, cuts in _walk(_K1, (), 0, top, top)
-    ]
+    return list(_walk(_K1, (), 0, top, top))
 
 
-def subtree(root: Root, n: int) -> Iterator[tuple[Graph, int]]:
+def subtree(root: Node, n: int) -> Iterator[Node]:
     """The order-n graphs of the stream below one of roots(n), in stream order.
 
-    Each comes with its number of cut vertices.
+    A root below order n is extended with canon's generators for it: any
+    set generating its automorphism group gives the least mask of each
+    orbit, so the masks tried are those of the walk from K1.
     """
-    g, gens, cuts = root
-    # A root below order n must carry the generators roots(n) gives it.
-    if g.n != min(n, _ROOT_LEVEL) or gens is None and g.n < n:
+    g, cuts = root
+    if g.n != min(n, _ROOT_LEVEL):
         raise ValueError(f"not one of roots({n})")
-    return ((child, c) for child, _, c in _walk(g, gens, cuts, n, n))
+    gens = canon(g).generators if g.n < n else ()
+    return _walk(g, gens, cuts, n, n)
 
 
-def walk(lo: int, hi: int) -> Iterator[Root]:
+def walk(lo: int, hi: int) -> Iterator[Node]:
     """Every graph of the stream of order lo..hi, from one walk of the growth tree to order hi.
 
-    Each comes with its generators and its number of cut vertices, a
-    graph before the graphs grown from it.  The graphs of one order m are
-    connected_graphs(m) in order: the tree to order m is the top of the
-    tree to order hi.  Only graphs of order hi may lack generators.
+    Each comes with its number of cut vertices, a graph before the graphs
+    grown from it.  The graphs of one order m are connected_graphs(m) in
+    order: the tree to order m is the top of the tree to order hi.
     """
     check_order(hi)
     if not 1 <= lo <= hi:
@@ -449,7 +446,7 @@ def walk(lo: int, hi: int) -> Iterator[Root]:
 def connected_graphs(n: int, *, allow_large: bool = False) -> Iterator[Graph]:
     """Exactly one representative per isomorphism class of order n, in stream order."""
     check_order(n, allow_large)
-    return (g for g, _, _ in _walk(_K1, (), 0, n, n))
+    return (g for g, _ in _walk(_K1, (), 0, n, n))
 
 
 def connected_graph_list(n: int) -> tuple[Graph, ...]:

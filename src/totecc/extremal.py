@@ -184,7 +184,7 @@ def _fold_walk(lo: int, hi: int) -> dict[int, Fold]:
     # process, median of six interleaved runs, CPython 3.11), and one
     # batch is a small part of the class list.
     while batch := list(islice(nodes, _BATCH)):
-        for g, _, cuts in batch:
+        for g, cuts in batch:
             fold = folds[g.n]
             eps = total_eccentricity(g)
             for key in _classes(g, cuts=cuts):

@@ -67,20 +67,33 @@ class TestStream:
         for n in (1, 4, 6, 7, 8):
             rooted = [node for root in roots(n) for node in subtree(root, n)]
             assert [g for g, _ in rooted] == list(connected_graphs(n))
-            assert [c for _, c in rooted] == [c for _, _, c in walk(n, n)]
+            assert [c for _, c in rooted] == [c for _, c in walk(n, n)]
             assert len(roots(n)) == CONNECTED_COUNTS[min(n, 6)]
 
-    @pytest.mark.parametrize("n", [7, 8])
-    def test_roots_carry_canon_generators(self, n):
-        # the walk to order 6 skips canon on most roots; extended further,
-        # each must carry the generators canon finds for it
-        assert all(gens == canon(g).generators for g, gens, _ in roots(n))
+    @pytest.mark.parametrize("n", [7, 8, 9])
+    def test_roots_are_those_of_order_6(self, n):
+        # a root carries no generators: subtree finds those it extends with
+        assert roots(n) == roots(6)
 
-    @pytest.mark.parametrize("root_order, n", [(6, 5), (5, 7), (6, 8)])
+    def test_roots_run_the_canon_of_the_walk_to_6(self, monkeypatch):
+        # roots(8) is the walk to order 6 and runs no canon of its own
+        calls = []
+
+        def counting(*args):
+            calls.append(args[0])
+            return canon(*args)
+
+        monkeypatch.setattr(enumeration, "canon", counting)
+        list(walk(6, 6))
+        by_walk = len(calls)
+        calls.clear()
+        roots(8)
+        assert len(calls) == by_walk == 59
+
+    @pytest.mark.parametrize("root_order, n", [(6, 5), (5, 7)])
     def test_subtree_rejects_roots_of_another_stream(self, root_order, n):
-        # below the wrong order the stream would grow without end; a root
-        # of roots(6) that lacks generators would repeat classes below it
-        bad = [r for r in roots(root_order) if r[0].n != min(n, 6) or r[1] is None]
+        # below the wrong order the stream would grow without end
+        bad = [r for r in roots(root_order) if r[0].n != min(n, 6)]
         assert bad
         for root in bad:
             with pytest.raises(ValueError):
@@ -120,12 +133,10 @@ class TestStream:
 class TestWalk:
     def test_orders_are_the_streams(self):
         # one walk to 8: its graphs of each order m, with their cut counts,
-        # are connected_graphs(m) in order, and only graphs of order 8 may
-        # lack generators
+        # are connected_graphs(m) in order
         by_order = {m: [] for m in range(1, 9)}
-        for g, gens, cuts in walk(1, 8):
+        for g, cuts in walk(1, 8):
             by_order[g.n].append((g, cuts))
-            assert gens is not None or g.n == 8, graph6.encode(g)
         for m, nodes in by_order.items():
             assert [g for g, _ in nodes] == list(connected_graphs(m)), m
             assert [c for _, c in nodes] == [len(cut_vertices(g)) for g, _ in nodes], m
@@ -133,19 +144,30 @@ class TestWalk:
     def test_graphs_come_before_the_graphs_grown_from_them(self):
         # stream order: each graph of order m > 1 follows a graph of order
         # m - 1 with no graph of order below m - 1 between them
-        orders = [g.n for g, _, _ in walk(1, 7)]
+        orders = [g.n for g, _ in walk(1, 7)]
         for i, m in enumerate(orders[1:], 1):
             above = next(o for o in reversed(orders[:i]) if o < m)
             assert above == m - 1, i
 
-    def test_generators_are_canons(self):
-        for g, gens, _ in walk(1, 7):
-            if g.n < 7:
-                assert gens == canon(g).generators, graph6.encode(g)
+    def test_generators_are_canons(self, monkeypatch):
+        # the generators stay in the walk: each inner node of the walk to
+        # 7 is extended with those canon finds for it
+        extended = []
+        original = enumeration._walk
+
+        def recording(g, gens, cuts, lo, hi):
+            extended.append((g, gens))
+            return original(g, gens, cuts, lo, hi)
+
+        monkeypatch.setattr(enumeration, "_walk", recording)
+        inner = [g for g, _ in walk(1, 7) if g.n < 7]
+        assert [g for g, _ in extended] == inner
+        for g, gens in extended:
+            assert gens == canon(g).generators, graph6.encode(g)
 
     def test_lower_bound_only_drops_graphs(self):
         assert list(walk(4, 6)) == [node for node in walk(1, 6) if node[0].n >= 4]
-        assert [g for g, _, _ in walk(6, 6)] == list(connected_graphs(6))
+        assert [g for g, _ in walk(6, 6)] == list(connected_graphs(6))
 
     @pytest.mark.parametrize("lo, hi", [(0, 5), (6, 5), (1, 0), (1, 10)])
     def test_range_errors(self, lo, hi):
@@ -229,7 +251,7 @@ def check_cut_counts(n):
     """Check the cut count the stream hands out with every root and every
     order-n graph against Tarjan's; returns the number of order-n graphs."""
     rooted = roots(n)
-    for g, _, cuts in rooted:
+    for g, cuts in rooted:
         assert cuts == len(cut_vertices(g)), graph6.encode(g)
     count = 0
     for root in rooted:

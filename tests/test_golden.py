@@ -58,8 +58,11 @@ def test_enumerate_8_stream_matches_golden(capsys):
 
 @pytest.mark.optin_n9
 @pytest.mark.skipif(not RUN_N9, reason="set TOTECC_RUN_N9=1 for order-9 runs")
-def test_enumerate_9_stream_matches_golden(capsys):
-    code = main(["enumerate", "-n", "9"])
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_enumerate_9_stream_matches_golden(capsys, workers):
+    # with two workers every root is extended with generators that
+    # subtree finds for it, not those of the walk from K1
+    code = main(["enumerate", "-n", "9", "--workers", workers])
     captured = capsys.readouterr()
     digest = hashlib.sha256(captured.out.encode()).hexdigest()
     assert digest == (GOLDEN / "enumerate_9.sha256").read_text().strip()
