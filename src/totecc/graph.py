@@ -36,6 +36,11 @@ def bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def _require_order(n: int) -> None:
+    if not 1 <= n <= MAX_VERTICES:
+        raise ValueError(f"vertex count must be in 1..{MAX_VERTICES}, got {n}")
+
+
 @dataclass(frozen=True)
 class Graph:
     """Simple undirected graph on vertices 0..n-1 with bitmask adjacency.
@@ -48,8 +53,7 @@ class Graph:
     adj: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if not 1 <= self.n <= MAX_VERTICES:
-            raise ValueError(f"vertex count must be in 1..{MAX_VERTICES}, got {self.n}")
+        _require_order(self.n)
         if len(self.adj) != self.n:
             raise ValueError("adjacency length does not match vertex count")
         full = (1 << self.n) - 1
@@ -65,7 +69,12 @@ class Graph:
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
-        """Build a graph from an edge list (duplicates collapse, loops rejected)."""
+        """Build a graph from an edge list (duplicates collapse, loops rejected).
+
+        Each edge is checked as it is read, and the vertex count after the
+        last one.  The rows are then symmetric, loop-free and inside 0..n-1
+        by construction, so ``__post_init__`` would find nothing more.
+        """
         rows = [0] * n
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
@@ -74,14 +83,16 @@ class Graph:
                 raise ValueError(f"self-loop at vertex {u}")
             rows[u] |= 1 << v
             rows[v] |= 1 << u
-        return cls(n, tuple(rows))
+        _require_order(n)
+        return cls._unchecked(n, tuple(rows))
 
     @classmethod
     def _unchecked(cls, n: int, adj: tuple[int, ...]) -> "Graph":
         """Build without ``__post_init__``'s checks, for rows valid by construction.
 
-        Only enumeration._extend calls this: a valid parent plus a vertex
-        joined symmetrically to some of 0..n-2 is valid again.
+        ``from_edges`` calls this once its edges and vertex count are
+        checked, and enumeration._extend for a valid parent plus a vertex
+        joined symmetrically to some of 0..n-2, which is valid again.
         """
         g = object.__new__(cls)
         object.__setattr__(g, "n", n)
@@ -244,12 +255,10 @@ def eccentricity(g: Graph, v: int) -> int:
 #: (CPython 3.11, n = 200 cliques with paths: about 110 ns against 22 ns).
 _EXPANSION_ORS = 5
 
-#: Share of the sweep's estimated ORs that bounding may spend before it
-#: hands the graph over: 1 / (2 * _EXPANSION_ORS).  A bounding BFS also
-#: updates two bounds per unresolved vertex, about a second expansion, so
-#: a failed attempt spends about 1 / _EXPANSION_ORS of the estimate; in
-#: time that is about a tenth of the sweep it falls back to (CPython 3.11,
-#: cycle(200): 0.33 ms of bounding against 3.4 ms of sweep).
+#: Share of the sweep's estimated ORs that bounding's first BFS may cost:
+#: 1 / (2 * _EXPANSION_ORS).  A bounding BFS also updates two bounds per
+#: unresolved vertex, about a second expansion, so three BFS that resolve
+#: nothing cost about a tenth of the sweep they then hand over to.
 _BOUND_SHARE = 1 / (2 * _EXPANSION_ORS)
 
 
@@ -258,32 +267,40 @@ def _budget(n: int, twice_m: int, ecc0: int) -> float:
     return _BOUND_SHARE * twice_m * (ecc0 - 1) / (n * _EXPANSION_ORS)
 
 
+#: The budget grows with m, so up to the largest order at which even K_n's
+#: cannot buy three BFS (13) every graph goes to the sweep uncounted.
+_SWEEP_ONLY = max(n for n in range(1, MAX_VERTICES + 1) if _budget(n, n * (n - 1), n - 1) < 3)
+
+
 def eccentricities(g: Graph) -> tuple[int, ...]:
     """Per-vertex eccentricities (raises on disconnected input).
 
-    Two exact kernels, chosen from n, m and ecc(0) alone.  The all-sources
-    sweep (``_sweep``) spends 2m ORs a round after a free first one, about
-    2m * (ecc(0) - 1) in all, and nothing on a complete graph.  Bounding
-    (``_bounded``) spends about n expansions of _EXPANSION_ORS ORs a BFS:
-    a BFS from w puts every ecc(v) between max(d(v, w), ecc(w) - d(v, w))
-    and ecc(w) + d(v, w), and v is done when the two meet.  Path-like
-    graphs take about five BFS where the sweep takes about n rounds;
-    cycles and cliques take up to n, one per central vertex.
+    Two exact kernels.  The all-sources sweep (``_sweep``) spends 2m ORs a
+    round after a free first one, about 2m * (ecc(0) - 1) in all, and
+    nothing on a complete graph.  Bounding (``_bounded``) runs BFS: one
+    from w puts every ecc(v) between max(d(v, w), ecc(w) - d(v, w)) and
+    ecc(w) + d(v, w), and v is done when the two meet.  Paths, spiders,
+    brooms and dumbbells take about five BFS where the sweep takes about
+    n / 2 rounds; a central vertex, such as every vertex of a cycle or
+    a clique, is resolved only by its own BFS.
 
-    Bounding may spend _BOUND_SHARE of the sweep's estimate (``_budget``),
-    and is tried only when that buys three BFS: vertex 0's and one pair of
-    the alternation.  A graph whose 2m * (n - 2) cannot buy them goes to
-    the sweep with no BFS at all.  Otherwise the BFS from vertex 0 gives
-    ecc(0), and the sweep takes over if that leaves fewer than three, or
-    once the budget is spent and one BFS per unresolved vertex would cost
-    more than the sweep.  Past the budget bounding costs at most one BFS
-    per vertex, so graphs that are dense and deep at once, where the sweep
-    runs many rounds of many ORs, never pay more than that.
+    Shallow graphs go to the sweep.  One whose estimate cannot buy three
+    BFS at _BOUND_SHARE (``_budget``) even at depth n - 1 goes there with
+    no BFS at all; that covers every graph with n <= 13 before its edges
+    are counted.  Otherwise the BFS from vertex 0 gives ecc(0), and the
+    sweep takes over if the estimate at that depth cannot buy three.
+    Deeper graphs are bounded while bounding progresses: after BFS 3, 5,
+    7, ... it has stalled if that pair resolved fewer than a quarter of the
+    vertices unresolved before it.  What is left is then mostly central,
+    so bounding would need about one BFS per unresolved vertex, and the
+    sweep takes over if those BFS would cost more than its estimate,
+    1 / _BOUND_SHARE times the budget.  A long cycle hands over after three
+    BFS, and a path is bounded to the end in five.  Graphs that are dense
+    and deep at once, where the sweep runs many rounds of many ORs, are
+    bounded to the end at one BFS per central vertex.
     """
     n = g.n
-    # The budget grows with m, so when even K_n's cannot buy three BFS
-    # (n <= 13) the edges need no count.
-    if _budget(n, n * (n - 1), n - 1) < 3:
+    if n <= _SWEEP_ONLY:
         return _sweep(g.adj)
     twice_m = 2 * g.edge_count
     if _budget(n, twice_m, n - 1) < 3:
@@ -299,9 +316,12 @@ def _bounded(adj: Sequence[int], twice_m: int | None = None) -> tuple[int, ...] 
     the unresolved vertex with the largest upper bound and the one with
     the smallest lower bound, the higher degree first on a tie.  Each BFS
     resolves at least its own source, so at most n run.  Given
-    ``twice_m`` (the degree sum), the run is budgeted as ``eccentricities``
-    describes and returns None where the sweep takes over; without it the
-    kernel runs to the end.
+    ``twice_m`` (the degree sum), the run is routed as ``eccentricities``
+    describes and returns None where the sweep takes over: after the first
+    BFS if ``_budget`` cannot buy three BFS, and after BFS 3, 5, 7, ... if
+    that pair resolved fewer than a quarter of the vertices unresolved
+    before it while one BFS per vertex still unresolved would cost more
+    than the sweep.  Without ``twice_m`` the kernel runs to the end.
     """
     n = len(adj)
     full = (1 << n) - 1
@@ -310,7 +330,7 @@ def _bounded(adj: Sequence[int], twice_m: int | None = None) -> tuple[int, ...] 
     todo = full
     w = 0
     spent = 0
-    budget = None
+    sweep_bfs = n  # left < n: no hand-over unless twice_m lowers it
     take_high = True
     while True:
         # Stop at the level that fills the graph: expanding it finds nothing.
@@ -360,10 +380,12 @@ def _bounded(adj: Sequence[int], twice_m: int | None = None) -> tuple[int, ...] 
                     best, best_deg, w = key, deg[v], v
         if not left:
             return tuple(lo)
-        if budget is not None and spent + 1 > budget:
-            if left > sweep_bfs:
+        if spent & 1:
+            # A pair that resolved under a quarter of what it found has
+            # stalled on vertices that only their own BFS resolves.
+            if spent > 1 and 4 * (before - left) < before and left > sweep_bfs:
                 return None
-            budget = None
+            before = left
         take_high = not take_high
 
 
@@ -373,9 +395,11 @@ def _bounded(adj: Sequence[int], twice_m: int | None = None) -> tuple[int, ...] 
 #: the two meet near 6 neighbours at n = 40 and near 20 at n = 200).
 _DENSE_ROW = 16
 _BINARY_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
-#: The set bits of every byte, for the rows of graphs with n <= 8.  A
-#: constant built at import, read by _sweep in place of bits().
+#: The set bits of every byte, and the same shifted to the high byte: _sweep
+#: lists a row of a graph with n <= 16 by one read from each, in place of
+#: bits().  Constants built at import.
 _BYTE_BITS = tuple(tuple(bits(r)) for r in range(256))
+_HIGH_BYTE_BITS = tuple(tuple(v + 8 for v in r) for r in _BYTE_BITS)
 
 
 def _sweep(adj: Sequence[int]) -> tuple[int, ...]:
@@ -387,6 +411,10 @@ def _sweep(adj: Sequence[int]) -> tuple[int, ...]:
     ecc(v) is the first d whose ball is every vertex, and v then leaves
     the active list.  In a connected graph every ball short of full grows
     each round, so a round that grows none means the graph is disconnected.
+
+    Past n = 16 a degree-2 vertex v with neighbours a and b takes
+    ``R_{d-1}[a] | R_{d-1}[b]``, with no inner loop: for d >= 2 that ball
+    already holds R_{d-1}[v], since v lies in both.
     """
     n = len(adj)
     if n == 1:
@@ -398,10 +426,12 @@ def _sweep(adj: Sequence[int]) -> tuple[int, ...]:
     if not active:
         return tuple(ecc)
     # Built once per call: iterating bits() inside the rounds loses most of the gain.
+    pairs = ()
+    split = 0
     if n <= 8:  # every row is one byte
         nbrs = [_BYTE_BITS[row] for row in adj]
-    elif n <= _DENSE_ROW:  # no row can be dense, so no row is tested
-        nbrs = [list(bits(row)) for row in adj]
+    elif n <= 16:  # every row is two bytes, and none has over _DENSE_ROW bits
+        nbrs = [_BYTE_BITS[row & 255] + _HIGH_BYTE_BITS[row >> 8] for row in adj]
     else:
         vertices = range(n)
         nbrs = [
@@ -410,8 +440,9 @@ def _sweep(adj: Sequence[int]) -> tuple[int, ...]:
             else list(compress(vertices, bin(row)[:1:-1].encode().translate(_BINARY_DIGITS)))
             for row in adj
         ]
+        split = 3
     d = 1
-    while active:
+    while active or pairs:
         d += 1
         prev = reach.copy()
         still = []
@@ -424,9 +455,25 @@ def _sweep(adj: Sequence[int]) -> tuple[int, ...]:
                 ecc[v] = d
             else:
                 still.append(v)
+        active = still
+        if pairs:
+            still = []
+            for pair in pairs:
+                v, a, b = pair
+                ball = prev[a] | prev[b]
+                reach[v] = ball
+                if ball == full:
+                    ecc[v] = d
+                else:
+                    still.append(pair)
+            pairs = still
         if reach == prev:
             raise DisconnectedGraphError("eccentricity requires a connected graph")
-        active = still
+        if d == split and active:
+            # After two rounds, so that shallow graphs never pay for the split.
+            pairs = [(v, *nbrs[v]) for v in active if len(nbrs[v]) == 2]
+            if pairs:
+                active = [v for v in active if len(nbrs[v]) != 2]
     return tuple(ecc)
 
 

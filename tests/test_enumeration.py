@@ -569,7 +569,8 @@ class TestAcceptTest:
             for g in connected_graphs(n):
                 assert Graph(g.n, g.adj) == g
 
-    def test_unchecked_constructor_only_in_extend(self):
+    def test_unchecked_constructor_only_where_rows_are_valid(self):
+        # _extend's child rows, and from_edges' rows once its edges and order are checked
         def references(node, scope):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 scope = node.name
@@ -584,7 +585,7 @@ class TestAcceptTest:
             for path in SOURCES
             for scope in references(ast.parse(path.read_text()), None)
         ]
-        assert users == [("enumeration.py", "_extend")]
+        assert users == [("enumeration.py", "_extend"), ("graph.py", "from_edges")]
 
 
 class TestDedupFallback:

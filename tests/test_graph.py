@@ -15,6 +15,7 @@ from totecc.graph import (
     DisconnectedGraphError,
     Graph,
     _BYTE_BITS,
+    _HIGH_BYTE_BITS,
     _bounded,
     _sweep,
     average_eccentricity,
@@ -24,6 +25,7 @@ from totecc.graph import (
     blocks,
     center,
     cut_vertices,
+    cycle_edges,
     diameter,
     eccentricities,
     eccentricity,
@@ -60,6 +62,50 @@ class TestGraphType:
             Graph(0, ())
         with pytest.raises(ValueError):
             families.path(201)
+
+    @pytest.mark.parametrize(
+        ("n", "edges", "message"),
+        [
+            (0, [], "vertex count must be in 1..200, got 0"),
+            (201, [], "vertex count must be in 1..200, got 201"),
+            (-1, [], "vertex count must be in 1..200, got -1"),
+            # every edge is checked before the vertex count
+            (0, [(0, 1)], "edge (0,1) out of range for n=0"),
+            (201, [(0, 201)], "edge (0,201) out of range for n=201"),
+            (201, [(5, 5)], "self-loop at vertex 5"),
+            (3, [(0, 3)], "edge (0,3) out of range for n=3"),
+            (3, [(-1, 2)], "edge (-1,2) out of range for n=3"),
+            (3, [(1, 1)], "self-loop at vertex 1"),
+            # the first bad edge is the one reported
+            (3, [(0, 1), (2, 2), (0, 3)], "self-loop at vertex 2"),
+            (3, [(0, 1), (0, 3), (2, 2)], "edge (0,3) out of range for n=3"),
+        ],
+    )
+    def test_from_edges_errors(self, n, edges, message):
+        with pytest.raises(ValueError) as info:
+            Graph.from_edges(n, edges)
+        assert str(info.value) == message
+
+    def test_from_edges_equals_the_validated_constructor(self):
+        # from_edges skips __post_init__; Graph(n, rows) runs every check on the same rows
+        built = [
+            families.path(1), families.path(200), families.cycle(3), families.cycle(200),
+            families.complete(1), families.complete(40), families.star(2), families.star(200),
+            families.double_broom(1, 2, 197), families.double_broom(3, 4, 1),
+            families.spider_balanced(200, 3), families.double_spider(62, 3, 1),
+            families.tadpole_l(200, 3), families.tadpole_p(200, 100), families.dumbbell(3, 3, 200),
+            families.dumbbell(101, 100, 200), families.complete_with_paths(40, (81, 81) + (1,) * 38),
+            families.kmn_balanced(200, 2), families.kmn_balanced(60, 40),
+            families.complete_with_pendants(200, 3),
+        ]
+        rng = random.Random(25)
+        for _ in range(300):
+            n = rng.randrange(1, 41)
+            pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randrange(3 * n))]
+            built.append(Graph.from_edges(n, [(u, v) for u, v in pairs if u != v]))
+        for g in built:
+            assert Graph(g.n, g.adj) == g
+            assert Graph.from_edges(g.n, g.edges()) == g
 
     def test_edges_roundtrip(self):
         g = families.dumbbell(3, 4, 9)
@@ -181,6 +227,7 @@ def _clique_with_path(m, length):
 
 SPARSE_DEEP = {
     "path": families.path(200),
+    "spider_balanced": families.spider_balanced(200, 3),
     "cycle": families.cycle(200),
     "tadpole_l": families.tadpole_l(200, 3),
     "dumbbell": families.dumbbell(3, 3, 200),
@@ -202,17 +249,36 @@ DENSE_OR_DEEP = {
     "clique40-paths81": families.complete_with_paths(40, (81, 81) + (1,) * 38),
 }
 LARGE = {**SPARSE_DEEP, **DENSE_DEEP, **DENSE_OR_DEEP}
-# Where bounding does not pay: ecc(0) leaves complete and tadpole_p fewer
-# than three BFS, and cycle and kmn_balanced spend their budget, since every
+# Where bounding does not pay: ecc(0) leaves complete, tadpole_p and
+# spider_balanced fewer than three BFS, and cycle and kmn_balanced stall at
+# BFS 3 with more vertices left than the sweep costs in BFS, since every
 # cycle vertex and every clique vertex is central, and a central vertex's
-# bounds meet only at its own BFS.  Every other graph in LARGE is bounded to
-# the end with no call to the sweep.
-FALL_BACK = {"cycle", "tadpole_p", "complete", "kmn_balanced"}
+# bounds meet only at its own BFS.  clique40-paths81 stalls at BFS 5 on its
+# 36 central clique vertices, but those cost less than its deep, dense
+# sweep.  Every other graph in LARGE is bounded to the end with no call to
+# the sweep.
+FALL_BACK = {"cycle", "tadpole_p", "complete", "kmn_balanced", "spider_balanced"}
+# The BFS that eccentricities runs before it returns or hands over: path-like
+# graphs are bounded to the end in a few, shallow ones hand over after
+# vertex 0's, and stalled ones after the pair that stalls.
+ROUTE_BFS = {
+    "path": 5,
+    "dumbbell": 5,
+    "tadpole_l": 3,
+    "double_broom": 4,
+    "spider_balanced": 1,
+    "cycle": 3,
+    "tadpole_p": 1,
+    "kmn_balanced": 3,
+    "clique40-paths81": 41,
+}
 DISCONNECTED = {
     "isolated": Graph.from_edges(3, [(0, 1)]),
     "two-components": TWO_COMPONENTS,
     # the path's balls keep growing for 99 rounds before they stall
     "path100-plus-isolated": Graph.from_edges(101, [(i, i + 1) for i in range(99)]),
+    # every vertex has degree 2, so past round 3 the sweep ORs only pairs
+    "two-cycles": Graph.from_edges(200, cycle_edges(range(100)) + cycle_edges(range(100, 200))),
     "two-no-edge": Graph(2, (0, 0)),
     # dense enough that eccentricities runs the BFS from vertex 0 first
     "clique50-plus-isolated": Graph.from_edges(
@@ -224,11 +290,21 @@ DISCONNECTED = {
 PROBED = ["clique50-plus-isolated", "path199-plus-isolated"]
 
 
+def _count_bfs(monkeypatch):
+    """The list to which each graph.bfs_levels call appends its source from now on."""
+    sources = []
+    monkeypatch.setattr(
+        graph_module, "bfs_levels", lambda adj, w, banned=0: sources.append(w) or bfs_levels(adj, w, banned)
+    )
+    return sources
+
+
 class TestEccentricitiesSweep:
     """Both kernels against per-source BFS, where the sweep has many rounds."""
 
     @pytest.mark.parametrize("g", LARGE.values(), ids=LARGE)
     def test_matches_per_source_bfs(self, g):
+        # n = 200: the sweep takes its degree-2 vertices, where there are any, as pairs
         per_source = tuple(eccentricity(g, v) for v in range(g.n))
         assert _sweep(g.adj) == per_source
         assert _bounded(g.adj) == per_source
@@ -239,8 +315,18 @@ class TestEccentricitiesSweep:
         g = LARGE[name]
         calls = []
         monkeypatch.setattr(graph_module, "_sweep", lambda adj: calls.append(adj) or _sweep(adj))
+        sources = _count_bfs(monkeypatch)
         eccentricities(g)
         assert calls == ([g.adj] if name in FALL_BACK else [])
+        if name in ROUTE_BFS:
+            assert len(sources) == ROUTE_BFS[name]
+
+    @pytest.mark.parametrize("name", ["path", "dumbbell", "tadpole_l", "spider_balanced", "double_broom"])
+    def test_path_like_graphs_bound_in_few_bfs(self, name, monkeypatch):
+        # spider_balanced's route sweeps after ecc(0), but bounding alone needs three BFS
+        sources = _count_bfs(monkeypatch)
+        _bounded(LARGE[name].adj)
+        assert len(sources) <= 6
 
     def test_small_graphs_skip_the_probe(self, monkeypatch):
         # Even K12 leaves bounding too little budget to run the BFS from vertex 0.
@@ -281,6 +367,25 @@ class TestEccentricitiesSweep:
                 assert _sweep(g.adj) == tuple(eccentricity(g, v) for v in range(g.n)), g
         for g in (families.complete(8), families.path(8), families.cycle(8), families.star(8)):
             assert _sweep(g.adj) == tuple(eccentricity(g, v) for v in range(g.n)), g
+
+    def test_two_byte_table_lists_each_rows_bits(self):
+        assert len(_HIGH_BYTE_BITS) == 256
+        assert all(_BYTE_BITS[r & 255] + _HIGH_BYTE_BITS[r >> 8] == tuple(bits(r)) for r in range(1 << 16))
+
+    def test_sweep_from_two_byte_table_matches_per_source_bfs(self):
+        # graphs with 9 <= n <= 16 take their neighbour lists from both byte tables
+        rng = random.Random(16)
+        graphs = [f(n) for n in range(9, 17) for f in (families.complete, families.path, families.cycle, families.star)]
+        for _ in range(400):
+            n = rng.randrange(9, 17)
+            edges = [(rng.randrange(v), v) for v in range(1, n)]
+            edges += [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < rng.random() / 3]
+            graphs.append(Graph.from_edges(n, edges))
+        for g in graphs:
+            assert _sweep(g.adj) == tuple(eccentricity(g, v) for v in range(g.n)), g
+        for n in range(9, 17):
+            with pytest.raises(DisconnectedGraphError):
+                _sweep(Graph.from_edges(n, cycle_edges(range(n - 1))).adj)
 
     def test_small_orders(self):
         assert eccentricities(Graph(1, (0,))) == (0,)

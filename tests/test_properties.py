@@ -2,11 +2,13 @@
 
 import operator
 import random
+from itertools import combinations
 
 import pytest
 
 from conftest import attach_cycles, attach_paths, attach_tadpole, glue_relocate, random_connected_graph
 from oracles import refine_reference
+from totecc import graph as graph_module
 from totecc import graph6, transforms
 from totecc.canon import _refine, canonical_form
 from totecc.graph import (
@@ -82,13 +84,104 @@ def long_graphs(draw):
 @hypothesis.given(long_graphs())
 def test_eccentricities_of_long_graphs_match_per_source(g):
     per_source = tuple(eccentricity(g, v) for v in range(g.n))
-    budgeted = _bounded(g.adj, 2 * g.edge_count)
-    if _budget(g.n, 2 * g.edge_count, g.n - 1) < 3:
-        hypothesis.event("no probe")
-    else:
-        hypothesis.event("handed to the sweep" if budgeted is None else "bounded to the end")
-    assert budgeted in (None, per_source)
+    hypothesis.event(_route_exit(g))
+    assert _bounded(g.adj, 2 * g.edge_count) in (None, per_source)
     assert eccentricities(g) == _bounded(g.adj) == per_source
+
+
+def _hub_cycle_paths(n, hub, cycle, paths):
+    """Edges of a clique on 0..hub-1, a cycle of ``cycle`` vertices through
+    vertex 0 (none below 3), and each (at, length) path hung on vertex ``at``;
+    the cycle and the paths take new vertices in order, up to n - 1."""
+    edges = set(combinations(range(hub), 2))
+    placed = hub
+    if cycle >= 3:
+        ring = [0, *range(placed, placed + cycle - 1)]
+        edges.update(zip(ring, ring[1:] + ring[:1]))
+        placed += cycle - 1
+    for at, length in paths:
+        path = [at, *range(placed, placed + length)]
+        edges.update(zip(path, path[1:]))
+        placed += length
+    if placed != n:
+        raise ValueError(f"pieces place {placed} vertices, not {n}")
+    return edges
+
+
+@st.composite
+def mid_graphs(draw):
+    """13 <= n < 80: a hub clique, a cycle through it, pendant paths and chords, relabelled.
+
+    Below n = 80 only a dense hub buys ``eccentricities`` its BFS; a cycle's
+    or a hub's central vertices can then stall bounding.  One edge in four
+    draws is dropped, which may disconnect the graph.
+    """
+    n = draw(st.integers(13, 79))
+    hub = draw(st.integers(1, n // 2 + 1))
+    cycle = draw(st.one_of(st.just(0), st.integers(3, n - hub + 1)))
+    placed = hub + max(cycle - 1, 0)
+    paths = []
+    while placed < n:
+        length = draw(st.integers(1, min(12, n - placed)))
+        paths.append((draw(st.integers(0, placed - 1)), length))
+        placed += length
+    edges = _hub_cycle_paths(n, hub, cycle, paths)
+    vertex = st.integers(0, n - 1)
+    edges.update((u, v) for u, v in draw(st.lists(st.tuples(vertex, vertex), max_size=3)) if u != v)
+    if draw(st.integers(0, 3)) == 0:
+        edges.discard(draw(st.sampled_from(sorted(edges))))
+    perm = draw(st.permutations(range(n)))
+    return Graph.from_edges(n, [(perm[u], perm[v]) for u, v in edges])
+
+
+def _route_exit(g):
+    """Where ``eccentricities``' route leaves g: the sweep with no BFS, the sweep
+    after some BFS of ``_bounded``, or bounding to the end."""
+    twice_m = 2 * g.edge_count
+    if _budget(g.n, twice_m, g.n - 1) < 3:
+        return "sweep with no BFS"
+    sources = []
+    real = graph_module.bfs_levels
+    graph_module.bfs_levels = lambda adj, w, banned=0: sources.append(w) or real(adj, w, banned)
+    try:
+        eccs = _bounded(g.adj, twice_m)
+    finally:
+        graph_module.bfs_levels = real
+    if eccs is not None:
+        return "bounded to the end"
+    if len(sources) in (1, 3):
+        return f"sweep after BFS {len(sources)}"
+    return "sweep after a later pair"
+
+
+# One graph per exit, in the strategy's unrelabelled form, so that every run reaches each.
+MID_EXITS = {
+    "sweep with no BFS": Graph.from_edges(13, _hub_cycle_paths(13, 3, 11, [])),
+    "sweep after BFS 1": Graph.from_edges(44, _hub_cycle_paths(44, 21, 24, [])),
+    "sweep after BFS 3": Graph.from_edges(79, _hub_cycle_paths(79, 17, 63, [])),
+    "sweep after a later pair": Graph.from_edges(74, _hub_cycle_paths(74, 24, 51, [])),
+    "bounded to the end": Graph.from_edges(63, _hub_cycle_paths(63, 31, 33, [])),
+}
+
+
+@pytest.mark.parametrize("exit_", MID_EXITS, ids=MID_EXITS)
+def test_mid_graph_examples_take_their_exit(exit_):
+    assert _route_exit(MID_EXITS[exit_]) == exit_
+
+
+@hypothesis.settings(max_examples=150, deadline=None, database=None)
+@hypothesis.given(mid_graphs())
+@hypothesis.example(MID_EXITS["sweep with no BFS"])
+@hypothesis.example(MID_EXITS["sweep after BFS 1"])
+@hypothesis.example(MID_EXITS["sweep after BFS 3"])
+@hypothesis.example(MID_EXITS["sweep after a later pair"])
+@hypothesis.example(MID_EXITS["bounded to the end"])
+def test_eccentricities_of_mid_graphs_match_per_source_and_networkx(g):
+    per_source = _or_disconnected(lambda: tuple(eccentricity(g, v) for v in range(g.n)))
+    by_nx = _or_disconnected(lambda: tuple(e for _, e in sorted(nx.eccentricity(_nx(g)).items())))
+    hypothesis.event("disconnected" if per_source == "disconnected" else _route_exit(g))
+    assert _or_disconnected(lambda: eccentricities(g)) == per_source == by_nx
+    assert _or_disconnected(lambda: _sweep(g.adj)) == _or_disconnected(lambda: _bounded(g.adj)) == per_source
 
 
 @st.composite
