@@ -272,37 +272,66 @@ def _budget(n: int, twice_m: int, ecc0: int) -> float:
 _SWEEP_ONLY = max(n for n in range(1, MAX_VERTICES + 1) if _budget(n, n * (n - 1), n - 1) < 3)
 
 
+def _degrees(adj: Sequence[int]) -> bytes:
+    """Every vertex's degree, one byte each: degrees stay below MAX_VERTICES <= 256."""
+    return bytes(map(int.bit_count, adj))
+
+
+#: The chain kernel pays one O(n) pass per chain between hubs, where the
+#: sweep pays one round per level of depth, so its route asks for this many
+#: vertices of degree 2 per such chain, and this many at least.  On
+#: subdivided skeletons with n <= 200, 8 sent some graphs there at 1.3 to
+#: 1.5 times the old route's time.
+_CHAIN_LENGTH = 12
+
+
 def eccentricities(g: Graph) -> tuple[int, ...]:
     """Per-vertex eccentricities (raises on disconnected input).
 
-    Two exact kernels.  The all-sources sweep (``_sweep``) spends 2m ORs a
-    round after a free first one, about 2m * (ecc(0) - 1) in all, and
+    Three exact kernels.  The all-sources sweep (``_sweep``) spends 2m ORs
+    a round after a free first one, about 2m * (ecc(0) - 1) in all, and
     nothing on a complete graph.  Bounding (``_bounded``) runs BFS: one
     from w puts every ecc(v) between max(d(v, w), ecc(w) - d(v, w)) and
-    ecc(w) + d(v, w), and v is done when the two meet.  Paths, spiders,
-    brooms and dumbbells take about five BFS where the sweep takes about
-    n / 2 rounds; a central vertex, such as every vertex of a cycle or
-    a clique, is resolved only by its own BFS.
+    ecc(w) + d(v, w), and v is done when the two meet; a central vertex,
+    such as every vertex of a cycle or a clique, is resolved only by its
+    own BFS.  The chain kernel (``_chains``) runs one BFS per hub, a vertex
+    of degree >= 3, and reads every other eccentricity along the chains of
+    degree-2 vertices between hubs, with one O(n) pass per such chain.
 
-    Shallow graphs go to the sweep.  One whose estimate cannot buy three
-    BFS at _BOUND_SHARE (``_budget``) even at depth n - 1 goes there with
-    no BFS at all; that covers every graph with n <= 13 before its edges
-    are counted.  Otherwise the BFS from vertex 0 gives ecc(0), and the
-    sweep takes over if the estimate at that depth cannot buy three.
-    Deeper graphs are bounded while bounding progresses: after BFS 3, 5,
-    7, ... it has stalled if that pair resolved fewer than a quarter of the
-    vertices unresolved before it.  What is left is then mostly central,
-    so bounding would need about one BFS per unresolved vertex, and the
-    sweep takes over if those BFS would cost more than its estimate,
-    1 / _BOUND_SHARE times the budget.  A long cycle hands over after three
-    BFS, and a path is bounded to the end in five.  Graphs that are dense
-    and deep at once, where the sweep runs many rounds of many ORs, are
-    bounded to the end at one BFS per central vertex.
+    Every graph with n <= 13 goes to the sweep before its degrees are read:
+    there even K_n's sweep estimate cannot buy bounding three BFS at
+    _BOUND_SHARE (``_budget``).  A larger graph goes to the chain kernel
+    when it has at least _CHAIN_LENGTH vertices of degree 2 per chain
+    between hubs, and at least _CHAIN_LENGTH in all.  Each vertex of degree
+    1 or 2 owns the edge by which a walk from its chain's first hub reaches
+    it, and each edge left over closes one chain between hubs (an edge
+    between two hubs is one), so there are s = m - n_1 - n_2 of them, and
+    the test is n_2 >= _CHAIN_LENGTH * max(s, 1).  Paths, cycles, spiders,
+    tadpoles, dumbbells and long brooms go there.
+
+    The other graphs take the first of these that applies.  If the sweep's
+    estimate cannot buy three BFS even at depth n - 1, the sweep.
+    Otherwise the BFS from vertex 0 gives ecc(0), and the sweep takes over
+    if the estimate at that depth cannot buy three.  Deeper graphs are
+    bounded while bounding progresses: after BFS 3, 5, 7, ... it has
+    stalled if that pair resolved fewer than a quarter of the vertices
+    unresolved before it.  What is left is then mostly central, so bounding
+    would need about one BFS per unresolved vertex, and the sweep takes over
+    if those BFS would cost more than its estimate, 1 / _BOUND_SHARE times
+    the budget.  Graphs that are dense and deep at once, where the sweep
+    runs many rounds of many ORs, are bounded to the end at one BFS per
+    central vertex.
     """
     n = g.n
     if n <= _SWEEP_ONLY:
         return _sweep(g.adj)
-    twice_m = 2 * g.edge_count
+    deg = _degrees(g.adj)
+    twice_m = sum(deg)
+    # m - n <= s <= n_2 / _CHAIN_LENGTH, so graphs this dense skip the counts.
+    if _CHAIN_LENGTH * (twice_m - 2 * n) <= 2 * n:
+        n_2 = deg.count(2)
+        if n_2 >= _CHAIN_LENGTH and n_2 >= _CHAIN_LENGTH * (twice_m // 2 - n_2 - deg.count(1)):
+            return _chains(g.adj)
     if _budget(n, twice_m, n - 1) < 3:
         return _sweep(g.adj)
     eccs = _bounded(g.adj, twice_m)
@@ -474,6 +503,131 @@ def _sweep(adj: Sequence[int]) -> tuple[int, ...]:
             pairs = [(v, *nbrs[v]) for v in active if len(nbrs[v]) == 2]
             if pairs:
                 active = [v for v in active if len(nbrs[v]) != 2]
+    return tuple(ecc)
+
+
+def _chains(adj: Sequence[int]) -> tuple[int, ...]:
+    """Eccentricities from one BFS per hub, read along the chains between hubs.
+
+    The hubs are the vertices of degree >= 3, or, where there are none,
+    those of degree other than 2 (a path's ends, K1, K2); a graph with
+    neither is a cycle, whose every eccentricity is n // 2 once one BFS
+    finds it connected.  Every other vertex lies on a chain, a maximal run
+    of degree-2 vertices, which leaves hub a and ends at a hub b (maybe a
+    itself) or at a leaf.  Each hub's BFS gives its eccentricity, and all
+    of them run, each checking that the graph is connected, before any
+    chain is walked.
+
+    On a chain of c edges from a to b, with D = d(a, b), every path from
+    its vertex x_i to a vertex w off the chain leaves through a or b, so
+    d(x_i, w) = min(i + d(a, w), c - i + d(b, w)): the first term wins
+    when kappa = d(b, w) - d(a, w), which lies in [-D, D], is at least
+    2i - c.  So the suffix maxima over kappa of the greatest d(a, w) give
+    the far vertex through a, and the prefix maxima of d(b, w) the far one
+    through b.  Two vertices t apart on the chain are min(t, c + D - t)
+    apart, at most (c + D) // 2.  A chain of c vertices hanging from a to a
+    leaf gives ecc(x_i) = max(i + f, c - i), f being the deepest level of
+    a's BFS that holds a vertex off the chain.
+
+    That is O(n) per chain between hubs and O(c) per hanging one, after
+    the hubs' BFS.
+    """
+    n = len(adj)
+    full = (1 << n) - 1
+    deg = _degrees(adj)
+    hubs = [v for v, d in enumerate(deg) if d > 2] or [v for v, d in enumerate(deg) if d != 2]
+    if not hubs:
+        if _reach(adj, 0) != full:
+            raise DisconnectedGraphError("eccentricity requires a connected graph")
+        return (n // 2,) * n
+    ecc = [0] * n
+    levels_of = {}
+    for a in hubs:
+        levels = []
+        seen = 0
+        for level in bfs_levels(adj, a):
+            levels.append(level)
+            seen |= level
+            if seen == full:
+                break
+        else:
+            raise DisconnectedGraphError("eccentricity requires a connected graph")
+        levels_of[a] = levels
+        ecc[a] = len(levels) - 1
+    # Walk every chain from its first hub.  A chain between hubs marks its
+    # vertices with its number, so that b's walk skips it and its own
+    # vertices can be told from the rest.
+    owner = [0] * n
+    between = []
+    for a in hubs:
+        for u in bits(adj[a]):
+            if u in levels_of or owner[u]:
+                continue
+            chain = []
+            prev, cur = a, u
+            while deg[cur] == 2:
+                chain.append(cur)
+                prev, cur = cur, (adj[cur] ^ 1 << prev).bit_length() - 1
+            if cur in levels_of:
+                between.append((a, cur, chain))
+                for x in chain:
+                    owner[x] = len(between)
+                continue
+            # Hanging from a to the leaf cur; x_i sits at level i of a's BFS.
+            chain.append(cur)
+            levels = levels_of[a]
+            c = len(chain)
+            f = len(levels) - 1
+            while 0 < f <= c and levels[f] == 1 << chain[f - 1]:
+                f -= 1
+            for i, x in enumerate(chain, 1):
+                ecc[x] = i + f if i + f > c - i else c - i
+    rows = {}
+    for number, (a, b, chain) in enumerate(between, 1):
+        c = len(chain) + 1
+        for h in (a, b):
+            if h not in rows:
+                row = rows[h] = [0] * n
+                for d, level in enumerate(levels_of[h]):
+                    while level:  # bits() inlined, as in bfs_levels
+                        low = level & -level
+                        row[low.bit_length() - 1] = d
+                        level ^= low
+        ra, rb = rows[a], rows[b]
+        span = ra[b]
+        width = 2 * span + 1
+        # top[k]: the greatest d(a, w) off the chain with kappa = k - span,
+        # then, after the suffix pass, with kappa >= k - span; through_b[k]:
+        # the greatest d(b, w) off it with kappa <= k - span.
+        top = [-2 * n] * width
+        for x, y, on in zip(ra, rb, owner):
+            if on != number:
+                k = y - x + span
+                if x > top[k]:
+                    top[k] = x
+        through_b = []
+        best = -2 * n
+        for k, x in enumerate(top):
+            if x + k > best:
+                best = x + k
+            through_b.append(best - span)
+        for k in range(width - 2, -1, -1):
+            if top[k] < top[k + 1]:
+                top[k] = top[k + 1]
+        half = (c + span) // 2
+        for i, x in enumerate(chain, 1):
+            far = max(i - 1, c - 1 - i)
+            e = far if far < half else half
+            k = 2 * i - c + span
+            if k < width:
+                far = i + top[k if k > 0 else 0]
+                if far > e:
+                    e = far
+            if k >= 0:
+                far = c - i + through_b[k if k < width else width - 1]
+                if far > e:
+                    e = far
+            ecc[x] = e
     return tuple(ecc)
 
 

@@ -5,18 +5,22 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import connected_graph_list
+from conftest import CONNECTED_COUNTS, RUN_N9, connected_graph_list
 from oracles import block_graph, cut_vertices_by_deletion, distance_matrix, relabel_by_positions
 from totecc import families
 from totecc import graph as graph_module
 from totecc.canon import canonical_form
+from totecc.enumeration import connected_graphs
 from totecc.graph import (
+    MAX_VERTICES,
     UNREACHABLE,
     DisconnectedGraphError,
     Graph,
     _BYTE_BITS,
     _HIGH_BYTE_BITS,
     _bounded,
+    _chains,
+    _degrees,
     _sweep,
     average_eccentricity,
     bfs_distances,
@@ -249,26 +253,30 @@ DENSE_OR_DEEP = {
     "clique40-paths81": families.complete_with_paths(40, (81, 81) + (1,) * 38),
 }
 LARGE = {**SPARSE_DEEP, **DENSE_DEEP, **DENSE_OR_DEEP}
-# Where bounding does not pay: ecc(0) leaves complete, tadpole_p and
-# spider_balanced fewer than three BFS, and cycle and kmn_balanced stall at
-# BFS 3 with more vertices left than the sweep costs in BFS, since every
-# cycle vertex and every clique vertex is central, and a central vertex's
-# bounds meet only at its own BFS.  clique40-paths81 stalls at BFS 5 on its
-# 36 central clique vertices, but those cost less than its deep, dense
-# sweep.  Every other graph in LARGE is bounded to the end with no call to
-# the sweep.
-FALL_BACK = {"cycle", "tadpole_p", "complete", "kmn_balanced", "spider_balanced"}
-# The BFS that eccentricities runs before it returns or hands over: path-like
-# graphs are bounded to the end in a few, shallow ones hand over after
-# vertex 0's, and stalled ones after the pair that stalls.
-ROUTE_BFS = {
-    "path": 5,
-    "dumbbell": 5,
-    "tadpole_l": 3,
-    "double_broom": 4,
+# Where the chain kernel runs (_chains): at least _CHAIN_LENGTH vertices
+# of degree 2 per chain between hubs.  It runs one BFS per hub, or one to
+# find a cycle connected.
+CHAINED = {
+    "path": 2,
     "spider_balanced": 1,
-    "cycle": 3,
+    "cycle": 1,
+    "tadpole_l": 1,
+    "dumbbell": 2,
+    "double_broom": 1,
     "tadpole_p": 1,
+}
+# Where bounding does not pay: ecc(0) leaves complete fewer than three BFS,
+# and kmn_balanced stalls at BFS 3 with more vertices left than the sweep
+# costs in BFS, since every clique vertex is central, and a central
+# vertex's bounds meet only at its own BFS.  clique40-paths81 stalls at
+# BFS 5 on its 36 central clique vertices, but those cost less than its
+# deep, dense sweep.  Every other graph in LARGE is bounded to the end with
+# no call to the sweep.
+FALL_BACK = {"complete", "kmn_balanced"}
+# The BFS that eccentricities runs outside the chain kernel before it
+# returns or hands over: kmn_balanced hands over after the pair that
+# stalls, and clique40-paths81 is bounded to the end.
+ROUTE_BFS = {
     "kmn_balanced": 3,
     "clique40-paths81": 41,
 }
@@ -308,22 +316,28 @@ class TestEccentricitiesSweep:
         per_source = tuple(eccentricity(g, v) for v in range(g.n))
         assert _sweep(g.adj) == per_source
         assert _bounded(g.adj) == per_source
+        assert _chains(g.adj) == per_source
         assert eccentricities(g) == per_source
 
     @pytest.mark.parametrize("name", LARGE, ids=LARGE)
     def test_route(self, name, monkeypatch):
         g = LARGE[name]
         calls = []
+        chained = []
         monkeypatch.setattr(graph_module, "_sweep", lambda adj: calls.append(adj) or _sweep(adj))
+        monkeypatch.setattr(graph_module, "_chains", lambda adj: chained.append(adj) or _chains(adj))
         sources = _count_bfs(monkeypatch)
         eccentricities(g)
         assert calls == ([g.adj] if name in FALL_BACK else [])
+        assert chained == ([g.adj] if name in CHAINED else [])
+        if name in CHAINED:
+            assert len(sources) == CHAINED[name]
         if name in ROUTE_BFS:
             assert len(sources) == ROUTE_BFS[name]
 
     @pytest.mark.parametrize("name", ["path", "dumbbell", "tadpole_l", "spider_balanced", "double_broom"])
     def test_path_like_graphs_bound_in_few_bfs(self, name, monkeypatch):
-        # spider_balanced's route sweeps after ecc(0), but bounding alone needs three BFS
+        # all of these take the chain kernel, but bounding alone also needs few BFS
         sources = _count_bfs(monkeypatch)
         _bounded(LARGE[name].adj)
         assert len(sources) <= 6
@@ -341,20 +355,30 @@ class TestEccentricitiesSweep:
 
     def test_small_graphs_count_no_edges(self, monkeypatch):
         # Even K13's edge count leaves the route at the sweep, so graphs with
-        # n <= 13 go there before any row is summed; K14 is the first to count.
+        # n <= 13 go there before any degree is read; K14 is the first to read them.
         counted = []
 
         def edge_count(g):
             counted.append(g.n)
             return sum(row.bit_count() for row in g.adj) // 2
 
+        def degrees(adj):
+            counted.append(len(adj))
+            return _degrees(adj)
+
         monkeypatch.setattr(Graph, "edge_count", property(edge_count))
+        monkeypatch.setattr(graph_module, "_degrees", degrees)
         small = [families.complete(13)] + [g for n in range(1, 9) for g in connected_graph_list(n)]
         for g in small:
             assert eccentricities(g) == _sweep(g.adj), g
         assert counted == []
         eccentricities(families.complete(14))
         assert counted == [14]
+
+    def test_degrees_fit_in_bytes(self):
+        assert MAX_VERTICES <= 256
+        assert _degrees(families.star(200).adj) == bytes([199] + [1] * 199)
+        assert _degrees(Graph(1, (0,)).adj) == b"\x00"
 
     def test_byte_table_lists_each_bytes_bits(self):
         assert len(_BYTE_BITS) == 256
@@ -393,6 +417,26 @@ class TestEccentricitiesSweep:
         assert eccentricities(families.path(3)) == (2, 1, 2)
         assert _bounded(Graph(1, (0,)).adj) == (0,)
         assert _bounded(families.path(3).adj) == (2, 1, 2)
+        assert _chains(Graph(1, (0,)).adj) == (0,)
+        assert _chains(families.path(2).adj) == (1, 1)
+        assert _chains(families.path(3).adj) == (2, 1, 2)
+        assert _chains(families.cycle(3).adj) == (1, 1, 1)
+
+    def test_chains_match_per_source_bfs_to_n8(self):
+        # called directly, whatever the route would pick: most of these have
+        # many hubs, rings at one hub, parallel chains or no chain at all
+        for n in range(1, 9):
+            for g in connected_graph_list(n):
+                assert _chains(g.adj) == tuple(eccentricity(g, v) for v in range(n)), g
+
+    @pytest.mark.optin_n9
+    @pytest.mark.skipif(not RUN_N9, reason="set TOTECC_RUN_N9=1 for order-9 runs")
+    def test_chains_match_sweep_n9(self):
+        seen = 0
+        for g in connected_graphs(9):
+            assert _chains(g.adj) == _sweep(g.adj), g
+            seen += 1
+        assert seen == CONNECTED_COUNTS[9]
 
     @pytest.mark.parametrize("g", DISCONNECTED.values(), ids=DISCONNECTED)
     def test_disconnected_rejected(self, g):
@@ -400,6 +444,8 @@ class TestEccentricitiesSweep:
             _sweep(g.adj)
         with pytest.raises(DisconnectedGraphError):
             _bounded(g.adj)
+        with pytest.raises(DisconnectedGraphError):
+            _chains(g.adj)
         with pytest.raises(DisconnectedGraphError):
             eccentricities(g)
 

@@ -14,8 +14,10 @@ from totecc.canon import _refine, canonical_form
 from totecc.graph import (
     DisconnectedGraphError,
     Graph,
+    MAX_VERTICES,
     _bounded,
     _budget,
+    _chains,
     _sweep,
     eccentricities,
     eccentricity,
@@ -57,19 +59,21 @@ def test_eccentricities_match_per_source_and_networkx(g):
     h.add_edges_from(g.edges())
     sweep = _or_disconnected(lambda: _sweep(g.adj))
     bounded = _or_disconnected(lambda: _bounded(g.adj))
+    chains = _or_disconnected(lambda: _chains(g.adj))
     chosen = _or_disconnected(lambda: eccentricities(g))
     per_source = _or_disconnected(lambda: tuple(eccentricity(g, v) for v in range(g.n)))
     by_nx = _or_disconnected(lambda: tuple(e for _, e in sorted(nx.eccentricity(h).items())))
     hypothesis.event("disconnected" if sweep == "disconnected" else "connected")
-    assert sweep == bounded == chosen == per_source == by_nx
+    assert sweep == bounded == chains == chosen == per_source == by_nx
 
 
 @st.composite
 def long_graphs(draw):
     """80 <= n <= 200: a path, with or without its closing edge, plus up to 4 random chords.
 
-    Deep enough that ``eccentricities`` mostly runs the BFS from vertex 0,
-    then bounds to the end or hands over to the sweep, by the chords.
+    ``eccentricities`` sends most of these to the chain kernel; bounding,
+    which they are deep enough to run past vertex 0's BFS, is also checked
+    with its route's budget.
     """
     n = draw(st.integers(80, 200))
     edges = {(v, v + 1) for v in range(n - 1)}
@@ -86,7 +90,7 @@ def test_eccentricities_of_long_graphs_match_per_source(g):
     per_source = tuple(eccentricity(g, v) for v in range(g.n))
     hypothesis.event(_route_exit(g))
     assert _bounded(g.adj, 2 * g.edge_count) in (None, per_source)
-    assert eccentricities(g) == _bounded(g.adj) == per_source
+    assert eccentricities(g) == _bounded(g.adj) == _chains(g.adj) == per_source
 
 
 def _hub_cycle_paths(n, hub, cycle, paths):
@@ -135,8 +139,18 @@ def mid_graphs(draw):
 
 
 def _route_exit(g):
-    """Where ``eccentricities``' route leaves g: the sweep with no BFS, the sweep
-    after some BFS of ``_bounded``, or bounding to the end."""
+    """Where ``eccentricities``' route leaves the connected graph g: the chain
+    kernel, the sweep with no BFS, the sweep after some BFS of ``_bounded``,
+    or bounding to the end."""
+    chained = []
+    real_chains = graph_module._chains
+    graph_module._chains = lambda adj: chained.append(adj) or real_chains(adj)
+    try:
+        eccentricities(g)
+    finally:
+        graph_module._chains = real_chains
+    if chained:
+        return "chains"
     twice_m = 2 * g.edge_count
     if _budget(g.n, twice_m, g.n - 1) < 3:
         return "sweep with no BFS"
@@ -161,6 +175,7 @@ MID_EXITS = {
     "sweep after BFS 3": Graph.from_edges(79, _hub_cycle_paths(79, 17, 63, [])),
     "sweep after a later pair": Graph.from_edges(74, _hub_cycle_paths(74, 24, 51, [])),
     "bounded to the end": Graph.from_edges(63, _hub_cycle_paths(63, 31, 33, [])),
+    "chains": Graph.from_edges(40, _hub_cycle_paths(40, 1, 30, [(0, 10)])),
 }
 
 
@@ -176,12 +191,64 @@ def test_mid_graph_examples_take_their_exit(exit_):
 @hypothesis.example(MID_EXITS["sweep after BFS 3"])
 @hypothesis.example(MID_EXITS["sweep after a later pair"])
 @hypothesis.example(MID_EXITS["bounded to the end"])
+@hypothesis.example(MID_EXITS["chains"])
 def test_eccentricities_of_mid_graphs_match_per_source_and_networkx(g):
     per_source = _or_disconnected(lambda: tuple(eccentricity(g, v) for v in range(g.n)))
     by_nx = _or_disconnected(lambda: tuple(e for _, e in sorted(nx.eccentricity(_nx(g)).items())))
     hypothesis.event("disconnected" if per_source == "disconnected" else _route_exit(g))
     assert _or_disconnected(lambda: eccentricities(g)) == per_source == by_nx
     assert _or_disconnected(lambda: _sweep(g.adj)) == _or_disconnected(lambda: _bounded(g.adj)) == per_source
+    assert _or_disconnected(lambda: _chains(g.adj)) == per_source
+
+
+@st.composite
+def chain_graphs(draw):
+    """A skeleton on at most 8 hubs whose edges are chains of 0 to 40 vertices, relabelled.
+
+    The skeleton is a random tree on the hubs plus up to four more links: a
+    link from a hub to itself is a ring, and a repeated pair gives parallel
+    chains.  Up to three dangling paths hang from any vertex, and n stays
+    within MAX_VERTICES.  One draw in four drops an edge, which may
+    disconnect the graph.
+    """
+    hubs = draw(st.integers(1, 8))
+    hub = st.integers(0, hubs - 1)
+    links = [(draw(st.integers(0, v - 1)), v) for v in range(1, hubs)]
+    links += draw(st.lists(st.tuples(hub, hub), max_size=4))
+    edges = set()
+    placed = hubs
+    for a, b in links:
+        low, top = (2 if a == b else 0), min(40, MAX_VERTICES - placed)
+        if top < low:
+            continue
+        length = draw(st.integers(low, top))
+        chain = [a, *range(placed, placed + length), b]
+        edges.update(zip(chain, chain[1:]))
+        placed += length
+    for _ in range(draw(st.integers(0, 3))):
+        top = min(40, MAX_VERTICES - placed)
+        if top < 1:
+            break
+        at = draw(st.integers(0, placed - 1))
+        length = draw(st.integers(1, top))
+        path = [at, *range(placed, placed + length)]
+        edges.update(zip(path, path[1:]))
+        placed += length
+    if edges and draw(st.integers(0, 3)) == 0:
+        edges.discard(draw(st.sampled_from(sorted(edges))))
+    perm = draw(st.permutations(range(placed)))
+    return Graph.from_edges(placed, [(perm[u], perm[v]) for u, v in edges])
+
+
+@hypothesis.settings(max_examples=150, deadline=None, database=None)
+@hypothesis.given(chain_graphs())
+def test_chains_match_per_source_and_networkx(g):
+    per_source = _or_disconnected(lambda: tuple(eccentricity(g, v) for v in range(g.n)))
+    hypothesis.event("disconnected" if per_source == "disconnected" else _route_exit(g))
+    assert _or_disconnected(lambda: _chains(g.adj)) == per_source
+    assert _or_disconnected(lambda: eccentricities(g)) == per_source
+    if g.n <= 60:
+        assert per_source == _or_disconnected(lambda: tuple(e for _, e in sorted(nx.eccentricity(_nx(g)).items())))
 
 
 @st.composite
