@@ -251,25 +251,11 @@ def eccentricity(g: Graph, v: int) -> int:
     return ecc
 
 
-#: One per-source BFS expansion costs about as much as this many sweep ORs
-#: (CPython 3.11, n = 200 cliques with paths: about 110 ns against 22 ns).
-_EXPANSION_ORS = 5
-
-#: Share of the sweep's estimated ORs that bounding's first BFS may cost:
-#: 1 / (2 * _EXPANSION_ORS).  A bounding BFS also updates two bounds per
-#: unresolved vertex, about a second expansion, so three BFS that resolve
-#: nothing cost about a tenth of the sweep they then hand over to.
-_BOUND_SHARE = 1 / (2 * _EXPANSION_ORS)
-
-
-def _budget(n: int, twice_m: int, ecc0: int) -> float:
-    """BFS that bounding may run on a graph whose sweep costs 2m * (ecc0 - 1) ORs."""
-    return _BOUND_SHARE * twice_m * (ecc0 - 1) / (n * _EXPANSION_ORS)
-
-
-#: The budget grows with m, so up to the largest order at which even K_n's
-#: cannot buy three BFS (13) every graph goes to the sweep uncounted.
-_SWEEP_ONLY = max(n for n in range(1, MAX_VERTICES + 1) if _budget(n, n * (n - 1), n - 1) < 3)
+#: Every graph up to this order goes to the sweep before its degrees are
+#: read.  That covers every graph of the exhaustive runs (n <= 10), where
+#: per-call overhead dominates, and the only graphs this small that pass
+#: the chain test are C12 and C13, whose sweeps take five rounds.
+_SWEEP_ONLY = 13
 
 
 def _degrees(adj: Sequence[int]) -> bytes:
@@ -281,46 +267,37 @@ def _degrees(adj: Sequence[int]) -> bytes:
 #: sweep pays one round per level of depth, so its route asks for this many
 #: vertices of degree 2 per such chain, and this many at least.  On
 #: subdivided skeletons with n <= 200, 8 sent some graphs there at 1.3 to
-#: 1.5 times the old route's time.
+#: 1.5 times what bounding or the sweep took on them.
 _CHAIN_LENGTH = 12
 
 
 def eccentricities(g: Graph) -> tuple[int, ...]:
     """Per-vertex eccentricities (raises on disconnected input).
 
-    Three exact kernels.  The all-sources sweep (``_sweep``) spends 2m ORs
-    a round after a free first one, about 2m * (ecc(0) - 1) in all, and
-    nothing on a complete graph.  Bounding (``_bounded``) runs BFS: one
-    from w puts every ecc(v) between max(d(v, w), ecc(w) - d(v, w)) and
-    ecc(w) + d(v, w), and v is done when the two meet; a central vertex,
-    such as every vertex of a cycle or a clique, is resolved only by its
-    own BFS.  The chain kernel (``_chains``) runs one BFS per hub, a vertex
-    of degree >= 3, and reads every other eccentricity along the chains of
-    degree-2 vertices between hubs, with one O(n) pass per such chain.
+    Two exact kernels.  The all-sources sweep (``_sweep``) grows every
+    vertex's ball by one level a round, at 2m ORs a round after a free
+    first one, so about 2m * (diameter - 1) in all, and nothing on a
+    complete graph.  The chain kernel (``_chains``) runs one BFS per hub, a
+    vertex of degree >= 3, and reads every other eccentricity along the
+    chains of degree-2 vertices between hubs, with one O(n) pass per such
+    chain.
 
-    Every graph with n <= 13 goes to the sweep before its degrees are read:
-    there even K_n's sweep estimate cannot buy bounding three BFS at
-    _BOUND_SHARE (``_budget``).  A larger graph goes to the chain kernel
-    when it has at least _CHAIN_LENGTH vertices of degree 2 per chain
-    between hubs, and at least _CHAIN_LENGTH in all.  Each vertex of degree
-    1 or 2 owns the edge by which a walk from its chain's first hub reaches
-    it, and each edge left over closes one chain between hubs (an edge
-    between two hubs is one), so there are s = m - n_1 - n_2 of them, and
-    the test is n_2 >= _CHAIN_LENGTH * max(s, 1).  Paths, cycles, spiders,
-    tadpoles, dumbbells and long brooms go there.
+    The route has three exits.  Every graph with n <= 13 (_SWEEP_ONLY) goes
+    to the sweep before its degrees are read.  A larger graph goes to the
+    chain kernel when it has at least _CHAIN_LENGTH vertices of degree 2
+    per chain between hubs, and at least _CHAIN_LENGTH in all.  Each vertex
+    of degree 1 or 2 owns the edge by which a walk from its chain's first
+    hub reaches it, and each edge left over closes one chain between hubs
+    (an edge between two hubs is one), so there are s = m - n_1 - n_2 of
+    them, and the test is n_2 >= _CHAIN_LENGTH * max(s, 1).  Paths,
+    cycles, spiders, tadpoles, dumbbells and long brooms go there.  Every
+    other graph goes to the sweep, with the degrees already read.
 
-    The other graphs take the first of these that applies.  If the sweep's
-    estimate cannot buy three BFS even at depth n - 1, the sweep.
-    Otherwise the BFS from vertex 0 gives ecc(0), and the sweep takes over
-    if the estimate at that depth cannot buy three.  Deeper graphs are
-    bounded while bounding progresses: after BFS 3, 5, 7, ... it has
-    stalled if that pair resolved fewer than a quarter of the vertices
-    unresolved before it.  What is left is then mostly central, so bounding
-    would need about one BFS per unresolved vertex, and the sweep takes over
-    if those BFS would cost more than its estimate, 1 / _BOUND_SHARE times
-    the budget.  Graphs that are dense and deep at once, where the sweep
-    runs many rounds of many ORs, are bounded to the end at one BFS per
-    central vertex.
+    The known cost: a graph that is dense and deep at once and fails the
+    chain test pays the sweep's many rounds of many ORs.  A clique of 100
+    with a path of 101 takes about 40 ms (CPython 3.11), where bounding
+    each eccentricity by BFS (Takes and Kosters, Algorithms 6, 2013) would
+    take about 0.4 ms.  No family of the paper is of this kind.
     """
     n = g.n
     if n <= _SWEEP_ONLY:
@@ -331,91 +308,8 @@ def eccentricities(g: Graph) -> tuple[int, ...]:
     if _CHAIN_LENGTH * (twice_m - 2 * n) <= 2 * n:
         n_2 = deg.count(2)
         if n_2 >= _CHAIN_LENGTH and n_2 >= _CHAIN_LENGTH * (twice_m // 2 - n_2 - deg.count(1)):
-            return _chains(g.adj)
-    if _budget(n, twice_m, n - 1) < 3:
-        return _sweep(g.adj)
-    eccs = _bounded(g.adj, twice_m)
-    return _sweep(g.adj) if eccs is None else eccs
-
-
-def _bounded(adj: Sequence[int], twice_m: int | None = None) -> tuple[int, ...] | None:
-    """Exact eccentricities by bounding (Takes and Kosters, Algorithms 6, 2013).
-
-    The first source is vertex 0; after it the sources alternate between
-    the unresolved vertex with the largest upper bound and the one with
-    the smallest lower bound, the higher degree first on a tie.  Each BFS
-    resolves at least its own source, so at most n run.  Given
-    ``twice_m`` (the degree sum), the run is routed as ``eccentricities``
-    describes and returns None where the sweep takes over: after the first
-    BFS if ``_budget`` cannot buy three BFS, and after BFS 3, 5, 7, ... if
-    that pair resolved fewer than a quarter of the vertices unresolved
-    before it while one BFS per vertex still unresolved would cost more
-    than the sweep.  Without ``twice_m`` the kernel runs to the end.
-    """
-    n = len(adj)
-    full = (1 << n) - 1
-    lo = [0] * n
-    hi = [2 * n] * n
-    todo = full
-    w = 0
-    spent = 0
-    sweep_bfs = n  # left < n: no hand-over unless twice_m lowers it
-    take_high = True
-    while True:
-        # Stop at the level that fills the graph: expanding it finds nothing.
-        levels = []
-        seen = 0
-        for level in bfs_levels(adj, w):
-            levels.append(level)
-            seen |= level
-            if seen == full:
-                break
-        else:
-            raise DisconnectedGraphError("eccentricity requires a connected graph")
-        ecc = len(levels) - 1
-        spent += 1
-        if spent == 1:
-            if twice_m is not None:
-                budget = _budget(n, twice_m, ecc)
-                if budget < 3:
-                    return None
-                sweep_bfs = budget / _BOUND_SHARE
-            deg = [row.bit_count() for row in adj]
-        # Update the unresolved vertices and pick the next source among
-        # those left: the largest upper bound or the smallest lower bound
-        # (as a largest negated one), the higher degree first on a tie.
-        left = 0
-        best = best_deg = -2 * n
-        for d, level in enumerate(levels):
-            low_d = d if d + d >= ecc else ecc - d
-            high_d = ecc + d
-            level &= todo
-            while level:
-                bit = level & -level
-                level ^= bit
-                v = bit.bit_length() - 1
-                low = lo[v]
-                high = hi[v]
-                if low < low_d:
-                    lo[v] = low = low_d
-                if high > high_d:
-                    hi[v] = high = high_d
-                if low == high:
-                    todo ^= bit
-                    continue
-                left += 1
-                key = high if take_high else -low
-                if key > best or key == best and deg[v] > best_deg:
-                    best, best_deg, w = key, deg[v], v
-        if not left:
-            return tuple(lo)
-        if spent & 1:
-            # A pair that resolved under a quarter of what it found has
-            # stalled on vertices that only their own BFS resolves.
-            if spent > 1 and 4 * (before - left) < before and left > sweep_bfs:
-                return None
-            before = left
-        take_high = not take_high
+            return _chains(g.adj, deg)
+    return _sweep(g.adj, deg)
 
 
 #: Rows with more neighbours than this are listed by _sweep from their
@@ -431,7 +325,7 @@ _BYTE_BITS = tuple(tuple(bits(r)) for r in range(256))
 _HIGH_BYTE_BITS = tuple(tuple(v + 8 for v in r) for r in _BYTE_BITS)
 
 
-def _sweep(adj: Sequence[int]) -> tuple[int, ...]:
+def _sweep(adj: Sequence[int], deg: bytes | None = None) -> tuple[int, ...]:
     """Eccentricities from growing the ball around every vertex at once.
 
     ``reach[v]`` holds the ball of radius d around v: the closed
@@ -443,7 +337,8 @@ def _sweep(adj: Sequence[int]) -> tuple[int, ...]:
 
     Past n = 16 a degree-2 vertex v with neighbours a and b takes
     ``R_{d-1}[a] | R_{d-1}[b]``, with no inner loop: for d >= 2 that ball
-    already holds R_{d-1}[v], since v lies in both.
+    already holds R_{d-1}[v], since v lies in both.  There the degrees
+    (``_degrees``) are read once, unless the caller passes them.
     """
     n = len(adj)
     if n == 1:
@@ -465,9 +360,9 @@ def _sweep(adj: Sequence[int]) -> tuple[int, ...]:
         vertices = range(n)
         nbrs = [
             list(bits(row))
-            if row.bit_count() <= _DENSE_ROW
+            if degree <= _DENSE_ROW
             else list(compress(vertices, bin(row)[:1:-1].encode().translate(_BINARY_DIGITS)))
-            for row in adj
+            for row, degree in zip(adj, _degrees(adj) if deg is None else deg)
         ]
         split = 3
     d = 1
@@ -506,7 +401,7 @@ def _sweep(adj: Sequence[int]) -> tuple[int, ...]:
     return tuple(ecc)
 
 
-def _chains(adj: Sequence[int]) -> tuple[int, ...]:
+def _chains(adj: Sequence[int], deg: bytes) -> tuple[int, ...]:
     """Eccentricities from one BFS per hub, read along the chains between hubs.
 
     The hubs are the vertices of degree >= 3, or, where there are none,
@@ -530,11 +425,10 @@ def _chains(adj: Sequence[int]) -> tuple[int, ...]:
     a's BFS that holds a vertex off the chain.
 
     That is O(n) per chain between hubs and O(c) per hanging one, after
-    the hubs' BFS.
+    the hubs' BFS.  ``deg`` holds the degrees as ``_degrees`` reads them.
     """
     n = len(adj)
     full = (1 << n) - 1
-    deg = _degrees(adj)
     hubs = [v for v, d in enumerate(deg) if d > 2] or [v for v, d in enumerate(deg) if d != 2]
     if not hubs:
         if _reach(adj, 0) != full:

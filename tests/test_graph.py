@@ -18,7 +18,6 @@ from totecc.graph import (
     Graph,
     _BYTE_BITS,
     _HIGH_BYTE_BITS,
-    _bounded,
     _chains,
     _degrees,
     _sweep,
@@ -238,7 +237,7 @@ SPARSE_DEEP = {
     "double_broom": families.double_broom(1, 2, 197),
     "tadpole_p": families.tadpole_p(200, 100),
 }
-# Dense and deep at once: the sweep would take about n rounds of 2m ORs.
+# Dense and deep at once: the sweep takes about n rounds of 2m ORs.
 DENSE_DEEP = {
     "clique100-path101": _clique_with_path(100, 101),
     "clique50-path151": _clique_with_path(50, 151),
@@ -255,7 +254,7 @@ DENSE_OR_DEEP = {
 LARGE = {**SPARSE_DEEP, **DENSE_DEEP, **DENSE_OR_DEEP}
 # Where the chain kernel runs (_chains): at least _CHAIN_LENGTH vertices
 # of degree 2 per chain between hubs.  It runs one BFS per hub, or one to
-# find a cycle connected.
+# find a cycle connected.  Every other graph in LARGE takes the sweep.
 CHAINED = {
     "path": 2,
     "spider_balanced": 1,
@@ -265,21 +264,6 @@ CHAINED = {
     "double_broom": 1,
     "tadpole_p": 1,
 }
-# Where bounding does not pay: ecc(0) leaves complete fewer than three BFS,
-# and kmn_balanced stalls at BFS 3 with more vertices left than the sweep
-# costs in BFS, since every clique vertex is central, and a central
-# vertex's bounds meet only at its own BFS.  clique40-paths81 stalls at
-# BFS 5 on its 36 central clique vertices, but those cost less than its
-# deep, dense sweep.  Every other graph in LARGE is bounded to the end with
-# no call to the sweep.
-FALL_BACK = {"complete", "kmn_balanced"}
-# The BFS that eccentricities runs outside the chain kernel before it
-# returns or hands over: kmn_balanced hands over after the pair that
-# stalls, and clique40-paths81 is bounded to the end.
-ROUTE_BFS = {
-    "kmn_balanced": 3,
-    "clique40-paths81": 41,
-}
 DISCONNECTED = {
     "isolated": Graph.from_edges(3, [(0, 1)]),
     "two-components": TWO_COMPONENTS,
@@ -288,14 +272,13 @@ DISCONNECTED = {
     # every vertex has degree 2, so past round 3 the sweep ORs only pairs
     "two-cycles": Graph.from_edges(200, cycle_edges(range(100)) + cycle_edges(range(100, 200))),
     "two-no-edge": Graph(2, (0, 0)),
-    # dense enough that eccentricities runs the BFS from vertex 0 first
+    # dense: every ball but the isolated vertex's is full after round 1
     "clique50-plus-isolated": Graph.from_edges(
         51, [(u, v) for u in range(50) for v in range(u + 1, 50)]
     ),
-    # deep enough for the same, and the sweep would stall only after 197 rounds
+    # deep: the sweep stalls only after 197 rounds
     "path199-plus-isolated": Graph.from_edges(200, [(i, i + 1) for i in range(198)]),
 }
-PROBED = ["clique50-plus-isolated", "path199-plus-isolated"]
 
 
 def _count_bfs(monkeypatch):
@@ -315,8 +298,7 @@ class TestEccentricitiesSweep:
         # n = 200: the sweep takes its degree-2 vertices, where there are any, as pairs
         per_source = tuple(eccentricity(g, v) for v in range(g.n))
         assert _sweep(g.adj) == per_source
-        assert _bounded(g.adj) == per_source
-        assert _chains(g.adj) == per_source
+        assert _chains(g.adj, _degrees(g.adj)) == per_source
         assert eccentricities(g) == per_source
 
     @pytest.mark.parametrize("name", LARGE, ids=LARGE)
@@ -324,38 +306,38 @@ class TestEccentricitiesSweep:
         g = LARGE[name]
         calls = []
         chained = []
-        monkeypatch.setattr(graph_module, "_sweep", lambda adj: calls.append(adj) or _sweep(adj))
-        monkeypatch.setattr(graph_module, "_chains", lambda adj: chained.append(adj) or _chains(adj))
+        monkeypatch.setattr(graph_module, "_sweep", lambda adj, *deg: calls.append(adj) or _sweep(adj, *deg))
+        monkeypatch.setattr(graph_module, "_chains", lambda adj, deg: chained.append(adj) or _chains(adj, deg))
+        read = []
+        monkeypatch.setattr(graph_module, "_degrees", lambda adj: read.append(adj) or _degrees(adj))
         sources = _count_bfs(monkeypatch)
         eccentricities(g)
-        assert calls == ([g.adj] if name in FALL_BACK else [])
-        assert chained == ([g.adj] if name in CHAINED else [])
+        # the route reads the degrees once and hands them to either kernel
+        assert read == [g.adj]
         if name in CHAINED:
-            assert len(sources) == CHAINED[name]
-        if name in ROUTE_BFS:
-            assert len(sources) == ROUTE_BFS[name]
-
-    @pytest.mark.parametrize("name", ["path", "dumbbell", "tadpole_l", "spider_balanced", "double_broom"])
-    def test_path_like_graphs_bound_in_few_bfs(self, name, monkeypatch):
-        # all of these take the chain kernel, but bounding alone also needs few BFS
-        sources = _count_bfs(monkeypatch)
-        _bounded(LARGE[name].adj)
-        assert len(sources) <= 6
+            assert (calls, chained, len(sources)) == ([], [g.adj], CHAINED[name])
+        else:
+            # the sweep, run once, with no BFS before it
+            assert (calls, chained, sources) == ([g.adj], [], [])
 
     def test_small_graphs_skip_the_probe(self, monkeypatch):
-        # Even K12 leaves bounding too little budget to run the BFS from vertex 0.
+        # No BFS runs before the sweep: graphs with n <= 13 go to it once and
+        # to no other kernel, though C12 and C13 would pass the chain test.
         calls = []
-        monkeypatch.setattr(graph_module, "_sweep", lambda adj: calls.append("sweep") or _sweep(adj))
-        monkeypatch.setattr(graph_module, "_bounded", lambda *args: calls.append("bounded"))
-        small = [families.complete(12), families.path(12), families.cycle(12), families.star(12)]
-        for g in small + [g for n in range(1, 8) for g in connected_graph_list(n)]:
+        monkeypatch.setattr(graph_module, "_sweep", lambda adj, *deg: calls.append("sweep") or _sweep(adj, *deg))
+        monkeypatch.setattr(graph_module, "_chains", lambda adj, deg: calls.append("chains") or _chains(adj, deg))
+        small = [f(n) for n in (12, 13) for f in (families.complete, families.path, families.cycle, families.star)]
+        small += [g for n in range(1, 8) for g in connected_graph_list(n)]
+        sources = _count_bfs(monkeypatch)
+        for g in small:
             calls.clear()
             eccentricities(g)
-            assert calls == ["sweep"]
+            assert calls == ["sweep"], g
+        assert sources == []
 
     def test_small_graphs_count_no_edges(self, monkeypatch):
-        # Even K13's edge count leaves the route at the sweep, so graphs with
-        # n <= 13 go there before any degree is read; K14 is the first to read them.
+        # Graphs with n <= 13 go to the sweep before any degree or edge count
+        # is read; K14 is the first graph to read its degrees.
         counted = []
 
         def edge_count(g):
@@ -368,8 +350,8 @@ class TestEccentricitiesSweep:
 
         monkeypatch.setattr(Graph, "edge_count", property(edge_count))
         monkeypatch.setattr(graph_module, "_degrees", degrees)
-        small = [families.complete(13)] + [g for n in range(1, 9) for g in connected_graph_list(n)]
-        for g in small:
+        small = [f(n) for n in (12, 13) for f in (families.complete, families.path, families.cycle, families.star)]
+        for g in small + [g for n in range(1, 9) for g in connected_graph_list(n)]:
             assert eccentricities(g) == _sweep(g.adj), g
         assert counted == []
         eccentricities(families.complete(14))
@@ -415,26 +397,27 @@ class TestEccentricitiesSweep:
         assert eccentricities(Graph(1, (0,))) == (0,)
         assert eccentricities(families.path(2)) == (1, 1)
         assert eccentricities(families.path(3)) == (2, 1, 2)
-        assert _bounded(Graph(1, (0,)).adj) == (0,)
-        assert _bounded(families.path(3).adj) == (2, 1, 2)
-        assert _chains(Graph(1, (0,)).adj) == (0,)
-        assert _chains(families.path(2).adj) == (1, 1)
-        assert _chains(families.path(3).adj) == (2, 1, 2)
-        assert _chains(families.cycle(3).adj) == (1, 1, 1)
+        for g, eccs in [
+            (Graph(1, (0,)), (0,)),
+            (families.path(2), (1, 1)),
+            (families.path(3), (2, 1, 2)),
+            (families.cycle(3), (1, 1, 1)),
+        ]:
+            assert _chains(g.adj, _degrees(g.adj)) == eccs
 
     def test_chains_match_per_source_bfs_to_n8(self):
         # called directly, whatever the route would pick: most of these have
         # many hubs, rings at one hub, parallel chains or no chain at all
         for n in range(1, 9):
             for g in connected_graph_list(n):
-                assert _chains(g.adj) == tuple(eccentricity(g, v) for v in range(n)), g
+                assert _chains(g.adj, _degrees(g.adj)) == tuple(eccentricity(g, v) for v in range(n)), g
 
     @pytest.mark.optin_n9
     @pytest.mark.skipif(not RUN_N9, reason="set TOTECC_RUN_N9=1 for order-9 runs")
     def test_chains_match_sweep_n9(self):
         seen = 0
         for g in connected_graphs(9):
-            assert _chains(g.adj) == _sweep(g.adj), g
+            assert _chains(g.adj, _degrees(g.adj)) == _sweep(g.adj), g
             seen += 1
         assert seen == CONNECTED_COUNTS[9]
 
@@ -443,15 +426,7 @@ class TestEccentricitiesSweep:
         with pytest.raises(DisconnectedGraphError):
             _sweep(g.adj)
         with pytest.raises(DisconnectedGraphError):
-            _bounded(g.adj)
-        with pytest.raises(DisconnectedGraphError):
-            _chains(g.adj)
-        with pytest.raises(DisconnectedGraphError):
-            eccentricities(g)
-
-    @pytest.mark.parametrize("g", [DISCONNECTED[k] for k in PROBED], ids=PROBED)
-    def test_probe_rejects_before_the_sweep(self, g, monkeypatch):
-        monkeypatch.setattr(graph_module, "_sweep", lambda adj: pytest.fail("sweep ran"))
+            _chains(g.adj, _degrees(g.adj))
         with pytest.raises(DisconnectedGraphError):
             eccentricities(g)
 

@@ -11,7 +11,6 @@ import pytest
 
 from conftest import connected_graph_list, random_connected_graph
 from totecc.graph import (
-    _bounded,
     _sweep,
     blocks,
     cut_vertices,
@@ -47,7 +46,7 @@ def _to_nx(g):
 def _check(g):
     h = _to_nx(g)
     ecc = nx.eccentricity(h)
-    assert eccentricities(g) == _sweep(g.adj) == _bounded(g.adj) == tuple(ecc[v] for v in range(g.n))
+    assert eccentricities(g) == _sweep(g.adj) == tuple(ecc[v] for v in range(g.n))
     assert eccentricity(g, g.n - 1) == ecc[g.n - 1]
     assert wiener_index(g) == nx.wiener_index(h)
     assert cut_vertices(g) == frozenset(nx.articulation_points(h))

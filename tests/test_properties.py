@@ -15,9 +15,8 @@ from totecc.graph import (
     DisconnectedGraphError,
     Graph,
     MAX_VERTICES,
-    _bounded,
-    _budget,
     _chains,
+    _degrees,
     _sweep,
     eccentricities,
     eccentricity,
@@ -58,22 +57,20 @@ def test_eccentricities_match_per_source_and_networkx(g):
     h.add_nodes_from(range(g.n))
     h.add_edges_from(g.edges())
     sweep = _or_disconnected(lambda: _sweep(g.adj))
-    bounded = _or_disconnected(lambda: _bounded(g.adj))
-    chains = _or_disconnected(lambda: _chains(g.adj))
+    chains = _or_disconnected(lambda: _chains(g.adj, _degrees(g.adj)))
     chosen = _or_disconnected(lambda: eccentricities(g))
     per_source = _or_disconnected(lambda: tuple(eccentricity(g, v) for v in range(g.n)))
     by_nx = _or_disconnected(lambda: tuple(e for _, e in sorted(nx.eccentricity(h).items())))
     hypothesis.event("disconnected" if sweep == "disconnected" else "connected")
-    assert sweep == bounded == chains == chosen == per_source == by_nx
+    assert sweep == chains == chosen == per_source == by_nx
 
 
 @st.composite
 def long_graphs(draw):
     """80 <= n <= 200: a path, with or without its closing edge, plus up to 4 random chords.
 
-    ``eccentricities`` sends most of these to the chain kernel; bounding,
-    which they are deep enough to run past vertex 0's BFS, is also checked
-    with its route's budget.
+    ``eccentricities`` sends most of these to the chain kernel, and the
+    rest, whose chords cut the path into short chains, to the sweep.
     """
     n = draw(st.integers(80, 200))
     edges = {(v, v + 1) for v in range(n - 1)}
@@ -89,8 +86,7 @@ def long_graphs(draw):
 def test_eccentricities_of_long_graphs_match_per_source(g):
     per_source = tuple(eccentricity(g, v) for v in range(g.n))
     hypothesis.event(_route_exit(g))
-    assert _bounded(g.adj, 2 * g.edge_count) in (None, per_source)
-    assert eccentricities(g) == _bounded(g.adj) == _chains(g.adj) == per_source
+    assert eccentricities(g) == _sweep(g.adj) == _chains(g.adj, _degrees(g.adj)) == per_source
 
 
 def _hub_cycle_paths(n, hub, cycle, paths):
@@ -116,9 +112,9 @@ def _hub_cycle_paths(n, hub, cycle, paths):
 def mid_graphs(draw):
     """13 <= n < 80: a hub clique, a cycle through it, pendant paths and chords, relabelled.
 
-    Below n = 80 only a dense hub buys ``eccentricities`` its BFS; a cycle's
-    or a hub's central vertices can then stall bounding.  One edge in four
-    draws is dropped, which may disconnect the graph.
+    ``eccentricities`` sends a long cycle or path with few hubs on it to the
+    chain kernel and the rest to the sweep.  One edge in four draws is
+    dropped, which may disconnect the graph.
     """
     n = draw(st.integers(13, 79))
     hub = draw(st.integers(1, n // 2 + 1))
@@ -140,41 +136,20 @@ def mid_graphs(draw):
 
 def _route_exit(g):
     """Where ``eccentricities``' route leaves the connected graph g: the chain
-    kernel, the sweep with no BFS, the sweep after some BFS of ``_bounded``,
-    or bounding to the end."""
+    kernel or the sweep."""
     chained = []
     real_chains = graph_module._chains
-    graph_module._chains = lambda adj: chained.append(adj) or real_chains(adj)
+    graph_module._chains = lambda adj, deg: chained.append(adj) or real_chains(adj, deg)
     try:
         eccentricities(g)
     finally:
         graph_module._chains = real_chains
-    if chained:
-        return "chains"
-    twice_m = 2 * g.edge_count
-    if _budget(g.n, twice_m, g.n - 1) < 3:
-        return "sweep with no BFS"
-    sources = []
-    real = graph_module.bfs_levels
-    graph_module.bfs_levels = lambda adj, w, banned=0: sources.append(w) or real(adj, w, banned)
-    try:
-        eccs = _bounded(g.adj, twice_m)
-    finally:
-        graph_module.bfs_levels = real
-    if eccs is not None:
-        return "bounded to the end"
-    if len(sources) in (1, 3):
-        return f"sweep after BFS {len(sources)}"
-    return "sweep after a later pair"
+    return "chains" if chained else "sweep"
 
 
 # One graph per exit, in the strategy's unrelabelled form, so that every run reaches each.
 MID_EXITS = {
-    "sweep with no BFS": Graph.from_edges(13, _hub_cycle_paths(13, 3, 11, [])),
-    "sweep after BFS 1": Graph.from_edges(44, _hub_cycle_paths(44, 21, 24, [])),
-    "sweep after BFS 3": Graph.from_edges(79, _hub_cycle_paths(79, 17, 63, [])),
-    "sweep after a later pair": Graph.from_edges(74, _hub_cycle_paths(74, 24, 51, [])),
-    "bounded to the end": Graph.from_edges(63, _hub_cycle_paths(63, 31, 33, [])),
+    "sweep": Graph.from_edges(63, _hub_cycle_paths(63, 31, 33, [])),
     "chains": Graph.from_edges(40, _hub_cycle_paths(40, 1, 30, [(0, 10)])),
 }
 
@@ -186,19 +161,15 @@ def test_mid_graph_examples_take_their_exit(exit_):
 
 @hypothesis.settings(max_examples=150, deadline=None, database=None)
 @hypothesis.given(mid_graphs())
-@hypothesis.example(MID_EXITS["sweep with no BFS"])
-@hypothesis.example(MID_EXITS["sweep after BFS 1"])
-@hypothesis.example(MID_EXITS["sweep after BFS 3"])
-@hypothesis.example(MID_EXITS["sweep after a later pair"])
-@hypothesis.example(MID_EXITS["bounded to the end"])
+@hypothesis.example(MID_EXITS["sweep"])
 @hypothesis.example(MID_EXITS["chains"])
 def test_eccentricities_of_mid_graphs_match_per_source_and_networkx(g):
     per_source = _or_disconnected(lambda: tuple(eccentricity(g, v) for v in range(g.n)))
     by_nx = _or_disconnected(lambda: tuple(e for _, e in sorted(nx.eccentricity(_nx(g)).items())))
     hypothesis.event("disconnected" if per_source == "disconnected" else _route_exit(g))
     assert _or_disconnected(lambda: eccentricities(g)) == per_source == by_nx
-    assert _or_disconnected(lambda: _sweep(g.adj)) == _or_disconnected(lambda: _bounded(g.adj)) == per_source
-    assert _or_disconnected(lambda: _chains(g.adj)) == per_source
+    assert _or_disconnected(lambda: _sweep(g.adj)) == per_source
+    assert _or_disconnected(lambda: _chains(g.adj, _degrees(g.adj))) == per_source
 
 
 @st.composite
@@ -245,7 +216,8 @@ def chain_graphs(draw):
 def test_chains_match_per_source_and_networkx(g):
     per_source = _or_disconnected(lambda: tuple(eccentricity(g, v) for v in range(g.n)))
     hypothesis.event("disconnected" if per_source == "disconnected" else _route_exit(g))
-    assert _or_disconnected(lambda: _chains(g.adj)) == per_source
+    assert _or_disconnected(lambda: _chains(g.adj, _degrees(g.adj))) == per_source
+    assert _or_disconnected(lambda: _sweep(g.adj)) == per_source
     assert _or_disconnected(lambda: eccentricities(g)) == per_source
     if g.n <= 60:
         assert per_source == _or_disconnected(lambda: tuple(e for _, e in sorted(nx.eccentricity(_nx(g)).items())))
