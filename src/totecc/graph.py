@@ -238,17 +238,26 @@ def bfs_distances(g: Graph, v: int) -> DistanceRow:
     return DistanceRow(v, tuple(dist))
 
 
+def _levels(adj: Sequence[int], v: int, what: str) -> list[int]:
+    """The BFS levels from ``v``, the last being the first that completes every vertex.
+
+    Raises DisconnectedGraphError, naming ``what``, if the levels end before that.
+    """
+    full = (1 << len(adj)) - 1
+    levels = []
+    seen = 0
+    for level in bfs_levels(adj, v):
+        levels.append(level)
+        seen |= level
+        if seen == full:
+            return levels
+    raise DisconnectedGraphError(f"{what} requires a connected graph")
+
+
 def eccentricity(g: Graph, v: int) -> int:
     """Number of BFS levels from ``v`` minus one (raises on disconnected input)."""
     _require_vertex(g, v)
-    reached = 0
-    ecc = -1
-    for level in bfs_levels(g.adj, v):
-        reached |= level
-        ecc += 1
-    if reached != (1 << g.n) - 1:
-        raise DisconnectedGraphError("eccentricity requires a connected graph")
-    return ecc
+    return len(_levels(g.adj, v, "eccentricity")) - 1
 
 
 #: Every graph up to this order goes to the sweep before its degrees are
@@ -299,16 +308,12 @@ def eccentricities(g: Graph) -> tuple[int, ...]:
     each eccentricity by BFS (Takes and Kosters, Algorithms 6, 2013) would
     take about 0.4 ms.  No family of the paper is of this kind.
     """
-    n = g.n
-    if n <= _SWEEP_ONLY:
+    if g.n <= _SWEEP_ONLY:
         return _sweep(g.adj)
     deg = _degrees(g.adj)
-    twice_m = sum(deg)
-    # m - n <= s <= n_2 / _CHAIN_LENGTH, so graphs this dense skip the counts.
-    if _CHAIN_LENGTH * (twice_m - 2 * n) <= 2 * n:
-        n_2 = deg.count(2)
-        if n_2 >= _CHAIN_LENGTH and n_2 >= _CHAIN_LENGTH * (twice_m // 2 - n_2 - deg.count(1)):
-            return _chains(g.adj, deg)
+    n_2 = deg.count(2)
+    if n_2 >= _CHAIN_LENGTH and n_2 >= _CHAIN_LENGTH * (sum(deg) // 2 - n_2 - deg.count(1)):
+        return _chains(g.adj, deg)
     return _sweep(g.adj, deg)
 
 
@@ -334,11 +339,8 @@ def _sweep(adj: Sequence[int], deg: bytes | None = None) -> tuple[int, ...]:
     ecc(v) is the first d whose ball is every vertex, and v then leaves
     the active list.  In a connected graph every ball short of full grows
     each round, so a round that grows none means the graph is disconnected.
-
-    Past n = 16 a degree-2 vertex v with neighbours a and b takes
-    ``R_{d-1}[a] | R_{d-1}[b]``, with no inner loop: for d >= 2 that ball
-    already holds R_{d-1}[v], since v lies in both.  There the degrees
-    (``_degrees``) are read once, unless the caller passes them.
+    Past n = 16 each row's degree picks how its neighbours are listed; the
+    degrees (``_degrees``) are read once, unless the caller passes them.
     """
     n = len(adj)
     if n == 1:
@@ -350,8 +352,6 @@ def _sweep(adj: Sequence[int], deg: bytes | None = None) -> tuple[int, ...]:
     if not active:
         return tuple(ecc)
     # Built once per call: iterating bits() inside the rounds loses most of the gain.
-    pairs = ()
-    split = 0
     if n <= 8:  # every row is one byte
         nbrs = [_BYTE_BITS[row] for row in adj]
     elif n <= 16:  # every row is two bytes, and none has over _DENSE_ROW bits
@@ -364,9 +364,8 @@ def _sweep(adj: Sequence[int], deg: bytes | None = None) -> tuple[int, ...]:
             else list(compress(vertices, bin(row)[:1:-1].encode().translate(_BINARY_DIGITS)))
             for row, degree in zip(adj, _degrees(adj) if deg is None else deg)
         ]
-        split = 3
     d = 1
-    while active or pairs:
+    while active:
         d += 1
         prev = reach.copy()
         still = []
@@ -380,24 +379,8 @@ def _sweep(adj: Sequence[int], deg: bytes | None = None) -> tuple[int, ...]:
             else:
                 still.append(v)
         active = still
-        if pairs:
-            still = []
-            for pair in pairs:
-                v, a, b = pair
-                ball = prev[a] | prev[b]
-                reach[v] = ball
-                if ball == full:
-                    ecc[v] = d
-                else:
-                    still.append(pair)
-            pairs = still
         if reach == prev:
             raise DisconnectedGraphError("eccentricity requires a connected graph")
-        if d == split and active:
-            # After two rounds, so that shallow graphs never pay for the split.
-            pairs = [(v, *nbrs[v]) for v in active if len(nbrs[v]) == 2]
-            if pairs:
-                active = [v for v in active if len(nbrs[v]) != 2]
     return tuple(ecc)
 
 
@@ -428,26 +411,15 @@ def _chains(adj: Sequence[int], deg: bytes) -> tuple[int, ...]:
     the hubs' BFS.  ``deg`` holds the degrees as ``_degrees`` reads them.
     """
     n = len(adj)
-    full = (1 << n) - 1
     hubs = [v for v, d in enumerate(deg) if d > 2] or [v for v, d in enumerate(deg) if d != 2]
     if not hubs:
-        if _reach(adj, 0) != full:
-            raise DisconnectedGraphError("eccentricity requires a connected graph")
+        _levels(adj, 0, "eccentricity")  # raises unless connected
         return (n // 2,) * n
     ecc = [0] * n
     levels_of = {}
     for a in hubs:
-        levels = []
-        seen = 0
-        for level in bfs_levels(adj, a):
-            levels.append(level)
-            seen |= level
-            if seen == full:
-                break
-        else:
-            raise DisconnectedGraphError("eccentricity requires a connected graph")
-        levels_of[a] = levels
-        ecc[a] = len(levels) - 1
+        levels_of[a] = _levels(adj, a, "eccentricity")
+        ecc[a] = len(levels_of[a]) - 1
     # Walk every chain from its first hub.  A chain between hubs marks its
     # vertices with its number, so that b's walk skips it and its own
     # vertices can be told from the rest.
@@ -532,15 +504,10 @@ def total_eccentricity(g: Graph) -> int:
 
 def wiener_index(g: Graph) -> int:
     """Sum of distances over unordered vertex pairs: sum of d * |level d|."""
-    full = (1 << g.n) - 1
     total = 0
     for v in range(g.n):
-        reached = 0
-        for d, level in enumerate(bfs_levels(g.adj, v)):
-            reached |= level
+        for d, level in enumerate(_levels(g.adj, v, "Wiener index")):
             total += d * level.bit_count()
-        if reached != full:
-            raise DisconnectedGraphError("Wiener index requires a connected graph")
     return total // 2
 
 

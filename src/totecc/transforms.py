@@ -232,8 +232,7 @@ def block_to_cycle(g: Graph, block_index: int) -> Graph:
     the rest of the graph is untouched.  Total eccentricity cannot drop.
     """
     decomp = blocks(g)
-    if not 0 <= block_index < len(decomp.blocks):
-        raise ValueError(f"block index {block_index} out of range")
+    _require(0 <= block_index < len(decomp.blocks), f"block index {block_index} out of range")
     block = decomp.blocks[block_index]
     _require(len(block) >= 3, "block must have at least 3 vertices")
     cuts_in = sorted(block & decomp.cut_vertices)

@@ -20,6 +20,7 @@ from totecc.graph import (
     _HIGH_BYTE_BITS,
     _chains,
     _degrees,
+    _levels,
     _sweep,
     average_eccentricity,
     bfs_distances,
@@ -47,6 +48,7 @@ G1 = Graph.from_edges(5, [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 2), (1, 3)
 G2 = Graph.from_edges(5, [(2, 0), (0, 1), (1, 2), (2, 3), (3, 4), (4, 2)])
 
 TWO_COMPONENTS = Graph.from_edges(4, [(0, 1), (2, 3)])
+ECC_MESSAGE = "^eccentricity requires a connected graph$"
 
 
 class TestGraphType:
@@ -213,13 +215,13 @@ class TestEccentricity:
             eccentricity(families.path(3), -1)
 
     def test_disconnected_rejected(self):
-        with pytest.raises(DisconnectedGraphError):
+        with pytest.raises(DisconnectedGraphError, match=ECC_MESSAGE):
             eccentricity(TWO_COMPONENTS, 0)
-        with pytest.raises(DisconnectedGraphError):
+        with pytest.raises(DisconnectedGraphError, match=ECC_MESSAGE):
             eccentricities(TWO_COMPONENTS)
-        with pytest.raises(DisconnectedGraphError):
+        with pytest.raises(DisconnectedGraphError, match=ECC_MESSAGE):
             total_eccentricity(TWO_COMPONENTS)
-        with pytest.raises(DisconnectedGraphError):
+        with pytest.raises(DisconnectedGraphError, match="^Wiener index requires a connected graph$"):
             wiener_index(TWO_COMPONENTS)
 
 
@@ -269,7 +271,7 @@ DISCONNECTED = {
     "two-components": TWO_COMPONENTS,
     # the path's balls keep growing for 99 rounds before they stall
     "path100-plus-isolated": Graph.from_edges(101, [(i, i + 1) for i in range(99)]),
-    # every vertex has degree 2, so past round 3 the sweep ORs only pairs
+    # every vertex has degree 2: the chain kernel's cycle case, with no hub
     "two-cycles": Graph.from_edges(200, cycle_edges(range(100)) + cycle_edges(range(100, 200))),
     "two-no-edge": Graph(2, (0, 0)),
     # dense: every ball but the isolated vertex's is full after round 1
@@ -295,7 +297,7 @@ class TestEccentricitiesSweep:
 
     @pytest.mark.parametrize("g", LARGE.values(), ids=LARGE)
     def test_matches_per_source_bfs(self, g):
-        # n = 200: the sweep takes its degree-2 vertices, where there are any, as pairs
+        # n = 200: many sweep rounds, and chains long and short
         per_source = tuple(eccentricity(g, v) for v in range(g.n))
         assert _sweep(g.adj) == per_source
         assert _chains(g.adj, _degrees(g.adj)) == per_source
@@ -423,12 +425,31 @@ class TestEccentricitiesSweep:
 
     @pytest.mark.parametrize("g", DISCONNECTED.values(), ids=DISCONNECTED)
     def test_disconnected_rejected(self, g):
-        with pytest.raises(DisconnectedGraphError):
+        # eccentricities takes the sweep for the graphs with n <= 13 and for
+        # clique50-plus-isolated, and the chain kernel for the others
+        with pytest.raises(DisconnectedGraphError, match=ECC_MESSAGE):
             _sweep(g.adj)
-        with pytest.raises(DisconnectedGraphError):
+        with pytest.raises(DisconnectedGraphError, match=ECC_MESSAGE):
             _chains(g.adj, _degrees(g.adj))
-        with pytest.raises(DisconnectedGraphError):
+        with pytest.raises(DisconnectedGraphError, match=ECC_MESSAGE):
             eccentricities(g)
+
+
+class TestLevels:
+    """_levels: the BFS levels up to the one that covers every vertex, else a raise."""
+
+    def test_connected_to_n7_and_large(self):
+        # on a connected graph bfs_levels ends at the level that covers every vertex
+        graphs = [g for n in range(1, 8) for g in connected_graph_list(n)] + list(LARGE.values())
+        for g in graphs:
+            for v in range(g.n):
+                assert _levels(g.adj, v, "x") == list(bfs_levels(g.adj, v)), (g, v)
+
+    @pytest.mark.parametrize("g", DISCONNECTED.values(), ids=DISCONNECTED)
+    def test_disconnected_names_what(self, g):
+        for what in ("eccentricity", "Wiener index", "a test"):
+            with pytest.raises(DisconnectedGraphError, match=f"^{what} requires a connected graph$"):
+                _levels(g.adj, 0, what)
 
 
 class TestTotalsAndWiener:

@@ -285,6 +285,13 @@ class TestBlockToCycle:
             block_to_cycle(g, middle)
         assert middle not in block_cycle_sites(g)
 
+    def test_rejects_index_out_of_range(self):
+        g = families.tadpole_l(8, 5)
+        count = len(blocks(g).blocks)
+        for index in (-1, count):
+            with pytest.raises(InvalidSiteError, match=f"^block index {index} out of range$"):
+                block_to_cycle(g, index)
+
 
 class TestMergeCycles:
     def test_k2_host_two_triangles(self):
