@@ -8,6 +8,10 @@ two leaves tie.  Siblings lying in one orbit of the already-discovered,
 path-fixing automorphisms are pruned, which keeps vertex-transitive
 graphs (cycles, complete graphs) at polynomially many leaves.
 
+one_orbit is a cheaper test for a caller that needs only to know that a
+set of vertices shares one orbit: it dives to a few leaves and compares
+them, and a false answer proves nothing.
+
 Exactness is required downstream (witness counting), so this is a full
 canonicalizer, not a hash.  Performance is tuned for n <= 9 enumeration;
 the hard cap is n <= 64.
@@ -125,6 +129,74 @@ def _refine(
     return cells
 
 
+def _target(cells: list[int], n: int) -> int:
+    """The index of the cell to individualise in next, or -1 if ``cells`` is discrete.
+
+    That is the smallest cell with more than one vertex, the earliest on ties.
+    """
+    target_idx = -1
+    target_size = n + 1
+    for i, cell in enumerate(cells):
+        c = cell.bit_count()
+        if 1 < c < target_size:
+            target_idx = i
+            target_size = c
+    return target_idx
+
+
+def _dive(adj: tuple[int, ...], cells: list[int], i: int, v: int) -> list[int]:
+    """The labeling of one leaf below the equitable ``cells``.
+
+    v, a vertex of cell i, is individualised first, then the least vertex
+    of each target cell, as canon picks it, until the partition is discrete.
+    """
+    n = len(adj)
+    while True:
+        vbit = 1 << v
+        cells = _refine(adj, cells[:i] + [vbit, cells[i] ^ vbit] + cells[i + 1 :], [vbit])
+        i = _target(cells, n)
+        if i < 0:
+            break
+        v = (cells[i] & -cells[i]).bit_length() - 1
+    return [cell.bit_length() - 1 for cell in cells]
+
+
+def one_orbit(adj: tuple[int, ...], cells: list[int], k: int, cand: int) -> bool:
+    """A sufficient test that every vertex of ``cand`` is in k's automorphism orbit.
+
+    ``cells`` is an equitable partition from _refine run to the end, and
+    ``cand`` lies inside the cell holding k.  The test dives once below k
+    (see _dive) and once below each vertex v of ``cand`` not yet joined to
+    k, and maps each vertex of k's leaf to the vertex at its position in
+    v's leaf.  If that map takes every edge to an edge, it is an
+    automorphism (the two leaves relabel the graph alike).  Cells split
+    only in place, so k and v sit at one position and the automorphism
+    maps k to v.  True is a proof; false proves nothing, as the least
+    vertices picked below k and below v need not correspond.
+    """
+    n = len(adj)
+    i = next(j for j, cell in enumerate(cells) if cell >> k & 1)
+    leaf = _dive(adj, cells, i, k)
+    uf = _UnionFind(n)
+    for v in bits(cand):
+        if uf.find(v) == uf.find(k):
+            continue
+        gamma = [0] * n
+        for a, b in zip(leaf, _dive(adj, cells, i, v)):
+            gamma[a] = b
+        for a in range(n):
+            # each edge once, from its lower end
+            m = adj[a] >> a + 1 << a + 1
+            image = adj[gamma[a]]
+            while m:
+                low = m & -m
+                if not image >> gamma[low.bit_length() - 1] & 1:
+                    return False
+                m ^= low
+        uf.absorb(gamma)
+    return True
+
+
 def canon(g: Graph, initial: list[int] | None = None) -> CanonResult:
     """Run the full canonical search on ``g``.
 
@@ -159,14 +231,7 @@ def canon(g: Graph, initial: list[int] | None = None) -> CanonResult:
                 uf.absorb(gamma)
             return
 
-        # Target cell: smallest non-singleton, earliest position on ties.
-        target_idx = -1
-        target_size = n + 1
-        for i, cell in enumerate(cells):
-            c = cell.bit_count()
-            if 1 < c < target_size:
-                target_idx = i
-                target_size = c
+        target_idx = _target(cells, n)
         target = cells[target_idx]
 
         tried: list[int] = []

@@ -56,7 +56,12 @@ twin of the new vertex (the two have the same neighbors apart from each
 other), since swapping twins is an automorphism; the twin test runs
 first on the non-cut vertices of the new vertex's degree, before any
 refinement.  Canon starts from the refinement only where it ran to the
-end.  _accept holds the argument in full.
+end.  There, a child of the final order is accepted without canon when
+refinement dives prove every vertex of that part to share the new
+vertex's orbit (canon.one_orbit): each dive runs from the refined cells
+to a leaf, one below the new vertex and one below each other vertex,
+and two leaves that relabel the child alike give an automorphism.  Canon
+runs only where that proof fails.  _accept holds the argument in full.
 
 The independent oracles (extend everything and dedup by canonical form,
 brute force over labeled graphs) live with the tests.  Class predicates
@@ -67,7 +72,7 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from .canon import _refine, canon
+from .canon import _refine, canon, one_orbit
 from .graph import Graph, bits, components_without
 
 #: The stream's cap on n, applied by check_order alone; n = 10 (~11.7M
@@ -311,6 +316,18 @@ def _accept(
     once.  A child stopped at {k} below the final order still needs its
     generators: canon refines it from the unit partition, to the same cells.
 
+    With ``last``, a refinement run to the end is first handed to
+    canon.one_orbit, a sufficient test that every vertex of ``cand`` is in
+    k's orbit.  The refined cells are equitable and ``cand`` lies in k's
+    cell.  The test individualises k in that cell and dives to a leaf,
+    then does the same for each vertex v of ``cand`` not yet joined to k.
+    Where the two leaves relabel the child alike, the map between them is
+    an automorphism taking k to v, since cells split only in place.  If
+    every v joins k, the deletion vertex, which lies in ``cand``, is in
+    k's orbit, and the child is accepted with no canon call: the decision
+    canon would give.  At the first v the dives do not join, canon runs as
+    before and decides; so the test changes who decides, never what.
+
     No cut test searches the child.  The child less a parent vertex v is
     g - v plus k, and k is joined to the components of g - v that meet M.
     So v is a cut vertex of the child iff some component of g - v misses
@@ -370,6 +387,8 @@ def _accept(
                 return child, None
             # cand == {k}: canon refines the child from the unit partition
             initial = None
+        elif last and one_orbit(child.adj, initial, k, cand):
+            return child, None
     res = canon(child, initial)
     deletion = max(bits(cand), key=res.labeling.index)
     return (child if res.orbits[k] == res.orbits[deletion] else None), res.generators

@@ -35,10 +35,10 @@ from typing import Callable, Iterable, Iterator, NamedTuple
 
 from . import families, formulas, graph6
 from .canon import canonical_graph
-# connected_graph_list is unused here but stays bound: perfbench/spans.py
-# wraps it by this module's name.
+# connected_graph_list and pendant_vertices are unused here but stay bound:
+# perfbench/spans.py wraps them by this module's name.
 from .enumeration import MAX_EXHAUSTIVE, check_order, connected_graph_list, walk
-from .graph import Graph, cut_vertices, girth, pendant_vertices, total_eccentricity
+from .graph import Graph, _degrees, cut_vertices, girth, pendant_vertices, total_eccentricity
 
 PASS = "pass"
 FAIL = "fail"
@@ -51,20 +51,22 @@ class _Kind(NamedTuple):
     """A class kind: the edge count it needs, and how a graph gives its parameter."""
 
     excess: int | None  # edges minus vertices of every member; None: any graph
-    param: Callable[[Graph], int | None] | None  # None: the kind takes no parameter
+    # From the graph and its degrees (graph._degrees); None: no parameter
+    param: Callable[[Graph, bytes], int | None] | None
 
 
-def _pendant_count(g: Graph) -> int:
-    return len(pendant_vertices(g))
+def _pendant_count(g: Graph, degrees: bytes) -> int:
+    return degrees.count(1)
 
 
-def _cut_count(g: Graph) -> int:
+def _cut_count(g: Graph, degrees: bytes) -> int:
     return len(cut_vertices(g))
 
 
-# Each class kind.  The parameter functions look their invariant up at call
-# time, so a wrapper bound to this module's name (a call counter) sees every
-# call.  The two pendant kinds share one function, which _classes runs once.
+# Each class kind.  The parameter functions that search look their
+# invariant up at call time, so a wrapper bound to this module's name (a
+# call counter) sees every call.  The two pendant kinds share one
+# function, which _classes runs once.
 _KINDS = {
     "all": _Kind(None, None),
     "pendant_count": _Kind(None, _pendant_count),
@@ -72,7 +74,7 @@ _KINDS = {
     "tree": _Kind(-1, None),
     "tree_with_pendants": _Kind(-1, _pendant_count),
     "unicyclic": _Kind(0, None),
-    "unicyclic_girth": _Kind(0, lambda g: girth(g)),
+    "unicyclic_girth": _Kind(0, lambda g, _: girth(g)),
 }
 
 
@@ -123,19 +125,21 @@ def _classes(
     """The (kind, parameter) key of every class of the given kinds that g is in.
 
     g is connected; only the parameters of the kinds asked for are computed,
-    each once.  ``cuts``, when given, is g's number of cut vertices, taken
-    as its ``cut_count`` parameter in place of a search.
+    each once.  g's degrees are read once, for the edge count and the
+    pendant count.  ``cuts``, when given, is g's number of cut vertices,
+    taken as its ``cut_count`` parameter in place of a search.
     """
-    excess = g.edge_count - g.n
+    degrees = _degrees(g.adj)
+    excess = sum(degrees) // 2 - g.n
     keys = []
-    values: dict[Callable[[Graph], int | None] | None, int | None] = {None: None}
+    values: dict[Callable[[Graph, bytes], int | None] | None, int | None] = {None: None}
     if cuts is not None:
         values[_cut_count] = cuts
     for kind in kinds:
         needs, param = _KINDS[kind]
         if needs is None or needs == excess:
             if param not in values:
-                values[param] = param(g)
+                values[param] = param(g, degrees)
             keys.append((kind, values[param]))
     return keys
 

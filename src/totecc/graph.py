@@ -91,8 +91,10 @@ class Graph:
         """Build without ``__post_init__``'s checks, for rows valid by construction.
 
         ``from_edges`` calls this once its edges and vertex count are
-        checked, and enumeration._extend for a valid parent plus a vertex
-        joined symmetrically to some of 0..n-2, which is valid again.
+        checked, enumeration._extend for a valid parent plus a vertex
+        joined symmetrically to some of 0..n-2, which is valid again, and
+        transforms._rewire for a valid graph with edges between distinct
+        vertices dropped and joined.
         """
         g = object.__new__(cls)
         object.__setattr__(g, "n", n)

@@ -44,7 +44,13 @@ def _require_vertices(g: Graph, vs: Iterable[int]) -> None:
 
 
 def _rewire(g: Graph, drop: Iterable[tuple[int, int]], add: Iterable[tuple[int, int]]) -> Graph:
-    """g with the ``drop`` edges removed and then the ``add`` edges joined."""
+    """g with the ``drop`` edges removed and then the ``add`` edges joined.
+
+    Every rewrite checks its site's vertices before it calls this, and
+    adds only edges between two distinct vertices of g.  Each edge changes
+    both of its rows, so the rows stay symmetric, loop-free and inside
+    0..n-1, and the graph is built without re-checking them.
+    """
     rows = list(g.adj)
     for u, v in drop:
         rows[u] &= ~(1 << v)
@@ -52,7 +58,7 @@ def _rewire(g: Graph, drop: Iterable[tuple[int, int]], add: Iterable[tuple[int, 
     for u, v in add:
         rows[u] |= 1 << v
         rows[v] |= 1 << u
-    return Graph(g.n, tuple(rows))
+    return Graph._unchecked(g.n, tuple(rows))
 
 
 def _walk(adj: tuple[int, ...], inside: int, prev: int, cur: int) -> list[int]:

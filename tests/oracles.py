@@ -5,7 +5,7 @@ from typing import Iterator, Sequence
 
 from totecc.canon import canon
 from totecc.enumeration import Gens, Parts, _extend, _is_cut, roots, subtree
-from totecc.extremal import Fold, _classes, _Extrema
+from totecc.extremal import Fold, _Extrema
 from totecc.graph import (
     BlockDecomposition,
     DisconnectedGraphError,
@@ -13,7 +13,10 @@ from totecc.graph import (
     _reach,
     bfs_distances,
     bits,
+    cut_vertices,
+    girth,
     is_connected,
+    pendant_vertices,
     total_eccentricity,
     without_edge,
 )
@@ -70,14 +73,27 @@ def connected_graphs_dedup(n: int) -> list[Graph]:
     return level
 
 
+def class_keys(g: Graph) -> list[tuple[str, int | None]]:
+    """The (kind, parameter) key of every class the connected graph g is in,
+    from graph's own invariants rather than extremal._classes."""
+    excess = g.edge_count - g.n
+    pendants = len(pendant_vertices(g))
+    keys = [("all", None), ("pendant_count", pendants), ("cut_count", len(cut_vertices(g)))]
+    if excess == -1:
+        keys += [("tree", None), ("tree_with_pendants", pendants)]
+    if excess == 0:
+        keys += [("unicyclic", None), ("unicyclic_girth", girth(g))]
+    return keys
+
+
 def fold_per_order(n: int) -> Fold:
     """extremal's fold of one order as it was: the order-n stream alone,
-    root by root, with no cache."""
+    root by root, with no cache, each graph's classes from class_keys."""
     fold: Fold = {}
     for root in roots(n):
-        for g, cuts in subtree(root, n):
+        for g, _ in subtree(root, n):
             eps = total_eccentricity(g)
-            for key in _classes(g, cuts=cuts):
+            for key in class_keys(g):
                 record = fold.get(key)
                 if record is None:
                     fold[key] = _Extrema(1, eps, [g], eps, [g])
@@ -162,18 +178,6 @@ def relabel_by_positions(g: Graph, perm: tuple[int, ...]) -> Graph:
     return Graph(g.n, tuple(rows))
 
 
-def swaps_with_last(child: Graph, vs: int) -> bool:
-    """Whether swapping the child's last vertex with each vertex of ``vs``
-    maps the child onto itself, checked by relabelling."""
-    k = child.n - 1
-    for v in bits(vs):
-        perm = list(range(child.n))
-        perm[v], perm[k] = k, v
-        if child.relabel(tuple(perm)) != child:
-            return False
-    return True
-
-
 def degree_step_by_vertex(g: Graph, parts: Parts, mask: int) -> int:
     """enumeration._noncut as one loop over every vertex of the parent g.
 
@@ -200,8 +204,8 @@ def accept_reference(child: Graph, last: bool, parts: Parts) -> tuple[bool, Gens
     ``parts`` is ``enumeration._parts`` of the parent, the child less its
     new vertex, which is the child's last.  Returns whether the child is
     accepted, and the generators canon found for it, or None where canon
-    did not run: at the last level, when every other vertex of ``cand``
-    swaps with the new vertex by an automorphism.
+    did not run: at the last level, when canon's orbits put all of
+    ``cand`` in the new vertex's orbit.
     """
     n = child.n
     k = n - 1
@@ -226,9 +230,9 @@ def accept_reference(child: Graph, last: bool, parts: Parts) -> tuple[bool, Gens
                 break
         if not cand >> k & 1:
             return False, None
-    if last and swaps_with_last(child, cand ^ 1 << k):
-        return True, None
     res = canon(child, initial)
+    if last and all(res.orbits[v] == res.orbits[k] for v in bits(cand)):
+        return True, None
     pos = [0] * n
     for i, v in enumerate(res.labeling):
         pos[v] = i

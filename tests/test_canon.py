@@ -254,10 +254,11 @@ def test_search_refinements_match_oracle(monkeypatch):
 
 
 def test_union_find_work_pinned(monkeypatch):
-    # connected_graphs(7) makes 281 canon calls, each with one orbit
-    # union-find; search nodes add 529 more, one per node that meets a
-    # generator fixing its path, not one per sibling.  A generator's fixed
-    # points are not unioned
+    # connected_graphs(7) makes 144 canon calls, each with one orbit
+    # union-find; search nodes add 299 more, one per node that meets a
+    # generator fixing its path, not one per sibling; the 139 order-7
+    # children that reach one_orbit add one each (2,757 unions in canon,
+    # 712 in one_orbit).  A generator's fixed points are not unioned
     calls = {"made": 0, "unions": 0}
 
     class Counting(_UnionFind):
@@ -271,4 +272,4 @@ def test_union_find_work_pinned(monkeypatch):
 
     monkeypatch.setattr(canon_module, "_UnionFind", Counting)
     assert sum(1 for _ in connected_graphs(7)) == 853
-    assert calls == {"made": 810, "unions": 4816}
+    assert calls == {"made": 582, "unions": 3469}

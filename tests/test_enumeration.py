@@ -1,6 +1,7 @@
 """Enumeration: counts vs published sequences, dedup cross-check, classes."""
 
 import ast
+import importlib
 import random
 from pathlib import Path
 
@@ -18,12 +19,11 @@ from oracles import (
     labeled_graphs,
     refine_reference,
     subset_orbit_reps_by_mask,
-    swaps_with_last,
 )
 from totecc import ClassConstraint, count_class, families, filter_graphs, parse_constraint
 from totecc import enumeration, extremal, graph, graph6, search
 from totecc.cli import main
-from totecc.canon import _refine, canon, canonical_form, canonical_graph
+from totecc.canon import _refine, canon, canonical_form, canonical_graph, one_orbit
 from totecc.enumeration import (
     _accept,
     _cut_count,
@@ -40,6 +40,9 @@ from totecc.enumeration import (
     walk,
 )
 from totecc.graph import Graph, bits, cut_vertices, girth, is_connected, pendant_vertices
+
+# ``totecc.canon`` names the function on the package, so fetch the module.
+canon_module = importlib.import_module("totecc.canon")
 
 SOURCES = sorted((Path(__file__).parent.parent / "src" / "totecc").glob("*.py"))
 
@@ -76,7 +79,9 @@ class TestStream:
         assert roots(n) == roots(6)
 
     def test_roots_run_the_canon_of_the_walk_to_6(self, monkeypatch):
-        # roots(8) is the walk to order 6 and runs no canon of its own
+        # roots(8) is the walk to order 6 and runs no canon of its own; the
+        # walk's 30 calls are on graphs below order 6, as every order-6
+        # child is decided without canon
         calls = []
 
         def counting(*args):
@@ -88,7 +93,7 @@ class TestStream:
         by_walk = len(calls)
         calls.clear()
         roots(8)
-        assert len(calls) == by_walk == 59
+        assert len(calls) == by_walk == 30
 
     @pytest.mark.parametrize("root_order, n", [(6, 5), (5, 7)])
     def test_subtree_rejects_roots_of_another_stream(self, root_order, n):
@@ -313,18 +318,18 @@ def cand_of(child):
 def accept_by_refine(child, last):
     """The accept step with every cut vertex and one full refinement, no degree shortcut.
 
-    At the last level the child is accepted without canon when every other
-    vertex of ``cand`` swaps with the new vertex by an automorphism,
-    checked by relabelling, not from the parent's rows.
+    At the last level the child is accepted with no generators when
+    canon's orbits put all of ``cand`` in the new vertex's orbit: _accept
+    proves that without canon, by twin swaps or by refinement dives.
     """
     n = child.n
     k = n - 1
     cand = cand_of(child)
     if not cand >> k & 1:
         return False, None
-    if last and swaps_with_last(child, cand ^ 1 << k):
-        return True, None
     res = canon(child)
+    if last and all(res.orbits[v] == res.orbits[k] for v in bits(cand)):
+        return True, None
     pos = [0] * n
     for i, v in enumerate(res.labeling):
         pos[v] = i
@@ -345,6 +350,27 @@ def check_against_refine_oracle(max_order):
             )
         tried += 1
     return tried
+
+
+def check_last_level_canon(monkeypatch, n):
+    """Walk to order n and check that every order-n child reaching canon
+    has a ``cand`` that canon's orbits split, so one_orbit could not have
+    proved it one orbit; returns how many order-n children reach canon."""
+    reached = 0
+
+    def checking(child, initial=None):
+        nonlocal reached
+        res = canon(child, initial)
+        if child.n == n:
+            k = n - 1
+            orbits = {res.orbits[v] for v in bits(cand_of(child))}
+            assert orbits != {res.orbits[k]}, graph6.encode(child)
+            reached += 1
+        return res
+
+    monkeypatch.setattr(enumeration, "canon", checking)
+    assert sum(1 for _ in connected_graphs(n)) == CONNECTED_COUNTS[n]
+    return reached
 
 
 def check_degree_step(max_order):
@@ -441,6 +467,59 @@ class TestAcceptTest:
     @pytest.mark.skipif(not RUN_N9, reason="set TOTECC_RUN_N9=1 for order-9 runs")
     def test_matches_refine_oracle_n8(self):
         assert check_against_refine_oracle(7) == 71300
+
+    def test_one_orbit_certifies_automorphisms(self, monkeypatch):
+        # on every candidate child of order <= 7 whose cand holds the new
+        # vertex k and more, each map one_orbit absorbs is an automorphism,
+        # checked by relabelling, that takes k to the vertex just dived
+        # below; its answer agrees with canon's orbits
+        dived, absorbed = [], []
+        real_dive = canon_module._dive
+
+        def recording_dive(adj, cells, i, v):
+            dived.append(v)
+            return real_dive(adj, cells, i, v)
+
+        class Recording(canon_module._UnionFind):
+            def absorb(self, gamma):
+                absorbed.append(tuple(gamma))
+                super().absorb(gamma)
+
+        monkeypatch.setattr(canon_module, "_dive", recording_dive)
+        monkeypatch.setattr(canon_module, "_UnionFind", Recording)
+        tried = proved = certified = 0
+        for _, _, child in candidates(6):
+            k = child.n - 1
+            cand = cand_of(child)
+            if cand == 1 << k or not cand >> k & 1:
+                continue
+            full = (1 << child.n) - 1
+            dived.clear()
+            absorbed.clear()
+            ok = one_orbit(child.adj, _refine(child.adj, [full], [full]), k, cand)
+            # one dive below k, one per absorbed map, and one more on failure
+            assert dived[0] == k and len(dived) == 1 + len(absorbed) + (not ok)
+            for v, gamma in zip(dived[1:], absorbed):
+                assert child.relabel(gamma) == child, (child, gamma)
+                assert gamma[k] == v and cand >> v & 1
+            tried += 1
+            proved += ok
+            certified += len(absorbed)
+            # true is a proof; at these orders false also holds only where
+            # canon's orbits split cand
+            orbits = canon(child).orbits
+            assert ok == all(orbits[v] == orbits[k] for v in bits(cand)), child
+        assert (tried, proved, certified) == (461, 459, 476)
+
+    def test_one_orbit_cand_never_reaches_canon(self, monkeypatch):
+        # of the 139 order-7 children one_orbit tests, the 2 it cannot prove
+        # one orbit are not
+        assert check_last_level_canon(monkeypatch, 7) == 2
+
+    @pytest.mark.optin_n9
+    @pytest.mark.skipif(not RUN_N9, reason="set TOTECC_RUN_N9=1 for order-9 runs")
+    def test_one_orbit_cand_never_reaches_canon_n8(self, monkeypatch):
+        assert check_last_level_canon(monkeypatch, 8) == 43
 
     def test_parent_side_decision_matches_reference(self):
         # _accept decides from the parent's degrees and components what the
@@ -550,8 +629,9 @@ class TestAcceptTest:
 
     def test_canon_calls_pinned(self, monkeypatch):
         # canon on every candidate would be 4,159 calls; the pre-test and the
-        # last-level twin acceptance leave 281, and dropping either changes
-        # the count
+        # last-level twin and one_orbit acceptance leave 144 (281 without
+        # one_orbit), and dropping any of them changes the count.  Two of
+        # the 144 are order-7 children that one_orbit could not decide
         calls = []
 
         def counting(*args):
@@ -560,7 +640,7 @@ class TestAcceptTest:
 
         monkeypatch.setattr(enumeration, "canon", counting)
         assert sum(1 for _ in connected_graphs(7)) == 853
-        assert len(calls) == 281
+        assert len(calls) == 144
 
     def test_stream_graphs_pass_full_validation(self):
         # the stream builds children with Graph._unchecked; the public
@@ -570,7 +650,8 @@ class TestAcceptTest:
                 assert Graph(g.n, g.adj) == g
 
     def test_unchecked_constructor_only_where_rows_are_valid(self):
-        # _extend's child rows, and from_edges' rows once its edges and order are checked
+        # _extend's child rows, from_edges' rows once its edges and order are
+        # checked, and _rewire's rows, edges between distinct checked vertices
         def references(node, scope):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 scope = node.name
@@ -585,7 +666,11 @@ class TestAcceptTest:
             for path in SOURCES
             for scope in references(ast.parse(path.read_text()), None)
         ]
-        assert users == [("enumeration.py", "_extend"), ("graph.py", "from_edges")]
+        assert users == [
+            ("enumeration.py", "_extend"),
+            ("graph.py", "from_edges"),
+            ("transforms.py", "_rewire"),
+        ]
 
 
 class TestDedupFallback:
@@ -789,24 +874,24 @@ class TestClasses:
         extremal._fold_walk(1, 7)  # every order from one walk
         assert calls == []
 
-    def test_fold_finds_pendants_once_per_graph(self, monkeypatch):
-        # a tree is in both pendant kinds, which share one pendant count
+    def test_fold_runs_no_pendant_or_cut_search(self, monkeypatch):
+        # the fold reads each graph's pendant count from its degrees and its
+        # cut count from the walk, and gives the same records
         cached = extremal._fold(7)
         calls = []
 
-        def counting(g):
-            calls.append(g)
-            return pendant_vertices(g)
+        def counting(search):
+            def wrapper(g):
+                calls.append((search.__name__, g))
+                return search(g)
 
-        monkeypatch.setattr(extremal, "pendant_vertices", counting)
+            return wrapper
+
+        monkeypatch.setattr(extremal, "pendant_vertices", counting(pendant_vertices))
+        monkeypatch.setattr(extremal, "cut_vertices", counting(cut_vertices))
         assert extremal._fold_walk(7, 7) == {7: cached}  # uncached, same buckets
-        assert calls == list(connected_graph_list(7))
-        # one walk over orders 1..7 counts each graph of each order once
-        calls.clear()
-        extremal._fold_walk(1, 7)
-        for n in range(1, 8):
-            assert [g for g in calls if g.n == n] == list(connected_graph_list(n))
-        assert len(calls) == sum(CONNECTED_COUNTS[n] for n in range(1, 8))
+        extremal._fold_walk(1, 7)  # every order from one walk
+        assert calls == []
 
     def test_unicyclic_girth_filter(self):
         members = list(

@@ -569,6 +569,21 @@ def test_rewrites_reject_a_disconnected_graph_whatever_the_site():
     assert checked >= 500
 
 
+def test_rewrite_outputs_pass_full_validation():
+    # _rewire builds its graph unchecked; the public constructor runs every
+    # __post_init__ check on the same rows, for every listed site of every kind
+    checked = set()
+    for g in _lister_inputs():
+        if not is_connected(g):
+            continue
+        for lister, rewrite, _ in _KINDS:
+            for site in lister(g):
+                out = rewrite(g, site)
+                assert Graph(out.n, out.adj) == out, (g, site)
+                checked.add(rewrite)
+    assert len(checked) == len(_KINDS)
+
+
 # Sites naming a vertex outside 0..n-1.  Unchecked, such an id indexes past
 # the rows, shifts by a negative count, or passes as a Python negative index.
 _OUT_OF_RANGE = [
