@@ -19,16 +19,14 @@ the hard cap is n <= 64.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .graph import Graph, _relabel_rows, bits
 
 MAX_CANON_VERTICES = 64
 
 
-@dataclass(frozen=True)
-class CanonResult:
+class CanonResult(NamedTuple):
     """Canonical form plus the labeling, orbits and generators behind it.
 
     labeling[i] is the original vertex placed at canonical position i.

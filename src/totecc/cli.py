@@ -13,13 +13,10 @@ docs/cli-json.md.
 from __future__ import annotations
 
 import argparse
-import csv
-import dataclasses
 import functools
 import json
 import os
 import sys
-from fractions import Fraction
 from typing import Sequence
 
 from . import enumeration, extremal, families, formulas, graph6, transforms
@@ -30,6 +27,8 @@ SCHEMA_VERSION = 1
 
 
 def _invariants(g: Graph) -> dict:
+    from fractions import Fraction  # on use: fractions imports decimal
+
     gi = girth(g)
     eccs = eccentricities(g)
     eps = sum(eccs)
@@ -199,7 +198,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
     constraint = parse_constraint(args.constraint)
     report = extremal.search(args.n, constraint, args.objective)
     if args.format == "json":
-        payload = dataclasses.asdict(report)
+        payload = report._asdict()
         payload["constraint"] = str(report.constraint)
         _emit_json({"report": payload})
     else:
@@ -223,15 +222,19 @@ def _parse_range(text: str) -> list[int]:
 
 
 #: The scalar Verdict fields in field order; the witness tuples stay out of CSV.
-_CSV_FIELDS = [f.name for f in dataclasses.fields(extremal.Verdict) if "tuple" not in str(f.type)]
+_CSV_FIELDS = [
+    name for name, t in extremal.Verdict.__annotations__.items() if "tuple" not in str(t)
+]
 
 
 def _emit_verdicts(verdicts: list[extremal.Verdict], fmt: str) -> None:
-    rows = [dataclasses.asdict(v) for v in verdicts]
+    rows = [v._asdict() for v in verdicts]
     if fmt == "json":
         _emit_json({"verdicts": rows})
         return
     if fmt == "csv":
+        import csv  # on use: only --format csv writes CSV
+
         writer = csv.DictWriter(sys.stdout, fieldnames=_CSV_FIELDS, extrasaction="ignore")
         writer.writeheader()
         writer.writerows(rows)

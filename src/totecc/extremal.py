@@ -28,7 +28,6 @@ is a reportable finding, never an exception.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from itertools import islice
 from typing import Callable, Iterable, Iterator, NamedTuple
@@ -78,23 +77,27 @@ _KINDS = {
 }
 
 
-@dataclass(frozen=True)
-class ClassConstraint:
-    """Predicate picking one of the graph classes under study."""
-
+class _ConstraintFields(NamedTuple):
     kind: str
     param: int | None = None
 
-    def __post_init__(self) -> None:
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown class kind {self.kind!r}")
-        if _KINDS[self.kind].param is not None:
-            if self.param is None or self.param < 0:
-                raise ValueError(f"class {self.kind} needs a parameter >= 0")
-            if self.kind == "unicyclic_girth" and self.param < 3:
+
+class ClassConstraint(_ConstraintFields):
+    """Predicate picking one of the graph classes under study."""
+
+    __slots__ = ()
+
+    def __new__(cls, kind: str, param: int | None = None) -> ClassConstraint:
+        if kind not in _KINDS:
+            raise ValueError(f"unknown class kind {kind!r}")
+        if _KINDS[kind].param is not None:
+            if param is None or param < 0:
+                raise ValueError(f"class {kind} needs a parameter >= 0")
+            if kind == "unicyclic_girth" and param < 3:
                 raise ValueError("girth parameter must be >= 3")
-        elif self.param is not None:
-            raise ValueError(f"class {self.kind} takes no parameter")
+        elif param is not None:
+            raise ValueError(f"class {kind} takes no parameter")
+        return super().__new__(cls, kind, param)
 
     def validate_for(self, n: int) -> None:
         """Range checks that depend on the order under enumeration."""
@@ -144,16 +147,23 @@ def _classes(
     return keys
 
 
-@dataclass
 class _Extrema:
     """One class at one order: its member count, and its least and greatest
     totals, each with the members attaining it in stream order."""
 
-    count: int
-    low: int
-    lows: list[Graph]
-    high: int
-    highs: list[Graph]
+    __slots__ = ("count", "low", "lows", "high", "highs")
+
+    def __init__(
+        self, count: int, low: int, lows: list[Graph], high: int, highs: list[Graph]
+    ) -> None:
+        self.count = count
+        self.low, self.lows = low, lows
+        self.high, self.highs = high, highs
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return all(getattr(self, s) == getattr(other, s) for s in self.__slots__)
+        return NotImplemented
 
     def add(self, g: Graph, eps: int) -> None:
         self.count += 1
@@ -233,8 +243,7 @@ def count_class(n: int, constraint: ClassConstraint) -> int:
     return 0 if record is None else record.count
 
 
-@dataclass(frozen=True)
-class ExtremalReport:
+class ExtremalReport(NamedTuple):
     """Extremum of total eccentricity over one class, with all witnesses."""
 
     n: int
@@ -245,8 +254,7 @@ class ExtremalReport:
     class_size: int
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     """Outcome of checking one theorem/conjecture instance."""
 
     theorem: str
@@ -260,7 +268,7 @@ class Verdict:
     uniqueness_checked: bool
     status: str
     note: str = ""
-    counterexamples: tuple[str, ...] = field(default=())
+    counterexamples: tuple[str, ...] = ()
 
     @property
     def ok(self) -> bool:
@@ -542,8 +550,7 @@ def check_conjecture(n: int) -> list[Verdict]:
     if not CONJECTURE.first <= n <= MAX_EXHAUSTIVE:
         raise ValueError(f"check_conjecture needs {CONJECTURE.first} <= n <= {MAX_EXHAUSTIVE}")
     return [
-        replace(
-            v,
+        v._replace(
             status=CONJECTURE_VIOLATED,
             note=f"max {v.observed_value} exceeds tadpole value {v.predicted_value}",
             counterexamples=v.observed_witnesses,

@@ -10,8 +10,8 @@ arguments silently.  Paths and rings are built by ``graph.path_edges`` and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 from .graph import Graph, cycle_edges, path_edges
 
@@ -195,24 +195,28 @@ _FAMILIES = {
 }
 
 
-@dataclass(frozen=True)
-class FamilySpec:
-    """Tagged parameter record naming one family instance."""
-
+class _FamilyFields(NamedTuple):
     tag: str
     params: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if self.tag not in _FAMILIES:
-            raise ValueError(f"unknown family tag {self.tag!r}")
-        arity = _FAMILIES[self.tag][0]
+
+class FamilySpec(_FamilyFields):
+    """Tagged parameter record naming one family instance."""
+
+    __slots__ = ()
+
+    def __new__(cls, tag: str, params: tuple[int, ...]) -> FamilySpec:
+        if tag not in _FAMILIES:
+            raise ValueError(f"unknown family tag {tag!r}")
+        arity = _FAMILIES[tag][0]
         if arity is None:
-            if len(self.params) < 3 or self.params[0] != len(self.params) - 1:
+            if len(params) < 3 or params[0] != len(params) - 1:
                 raise ValueError(
                     "complete_with_paths takes m followed by m path lengths"
                 )
-        elif len(self.params) != arity:
-            raise ValueError(f"{self.tag} takes {arity} parameters, got {len(self.params)}")
+        elif len(params) != arity:
+            raise ValueError(f"{tag} takes {arity} parameters, got {len(params)}")
+        return super().__new__(cls, tag, params)
 
     def build(self) -> Graph:
         return _FAMILIES[self.tag][1](self.params)

@@ -13,10 +13,11 @@ than returning partial answers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from itertools import compress, pairwise
-from typing import Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 MAX_VERTICES = 200
 
@@ -41,31 +42,58 @@ def _require_order(n: int) -> None:
         raise ValueError(f"vertex count must be in 1..{MAX_VERTICES}, got {n}")
 
 
-@dataclass(frozen=True)
 class Graph:
     """Simple undirected graph on vertices 0..n-1 with bitmask adjacency.
 
     ``adj[v]`` is the neighbor set of ``v`` encoded as an int bitmask.
     Instances are immutable, hashable and safe to share across threads.
+    A plain slots class: a slot is the fastest attribute read, and every
+    hot loop reads ``g.adj``.
     """
+
+    __slots__ = ("n", "adj")
 
     n: int
     adj: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        _require_order(self.n)
-        if len(self.adj) != self.n:
+    def __init__(self, n: int, adj: tuple[int, ...]) -> None:
+        _require_order(n)
+        if len(adj) != n:
             raise ValueError("adjacency length does not match vertex count")
-        full = (1 << self.n) - 1
-        for v, row in enumerate(self.adj):
+        full = (1 << n) - 1
+        for v, row in enumerate(adj):
             if row & ~full:
                 raise ValueError(f"neighbor mask of vertex {v} references vertices >= n")
             if row >> v & 1:
                 raise ValueError(f"self-loop at vertex {v}")
-        for v in range(self.n):
-            for u in bits(self.adj[v]):
-                if not self.adj[u] >> v & 1:
+        for v in range(n):
+            for u in bits(adj[v]):
+                if not adj[u] >> v & 1:
                     raise ValueError(f"asymmetric adjacency between {u} and {v}")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "adj", adj)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.n == other.n and self.adj == other.adj
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.adj))
+
+    def __repr__(self) -> str:
+        return f"{self.__class__.__qualname__}(n={self.n!r}, adj={self.adj!r})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        # Loaded through __init__ and its checks: only builders whose rows are
+        # valid by construction call _unchecked.
+        return (self.__class__, (self.n, self.adj))
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
@@ -73,7 +101,7 @@ class Graph:
 
         Each edge is checked as it is read, and the vertex count after the
         last one.  The rows are then symmetric, loop-free and inside 0..n-1
-        by construction, so ``__post_init__`` would find nothing more.
+        by construction, so ``__init__`` would find nothing more.
         """
         rows = [0] * n
         for u, v in edges:
@@ -88,7 +116,7 @@ class Graph:
 
     @classmethod
     def _unchecked(cls, n: int, adj: tuple[int, ...]) -> "Graph":
-        """Build without ``__post_init__``'s checks, for rows valid by construction.
+        """Build without ``__init__``'s checks, for rows valid by construction.
 
         ``from_edges`` calls this once its edges and vertex count are
         checked, enumeration._extend for a valid parent plus a vertex
@@ -152,16 +180,14 @@ def cycle_edges(vs: Sequence[int]) -> list[tuple[int, int]]:
     return [*pairwise(vs), (vs[-1], vs[0])]
 
 
-@dataclass(frozen=True)
-class DistanceRow:
+class DistanceRow(NamedTuple):
     """Hop distances from one source; UNREACHABLE marks other components."""
 
     source: int
     dist: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class BlockDecomposition:
+class BlockDecomposition(NamedTuple):
     """Blocks (maximal 2-connected subgraphs) and cut vertices; one vertex has no blocks."""
 
     blocks: tuple[frozenset[int], ...]
@@ -515,6 +541,8 @@ def wiener_index(g: Graph) -> int:
 
 def average_eccentricity(g: Graph) -> Fraction:
     """Exact rational total_eccentricity(g) / n."""
+    from fractions import Fraction  # on use: fractions imports decimal
+
     return Fraction(total_eccentricity(g), g.n)
 
 

@@ -22,9 +22,8 @@ Contracts (checked by the randomized property suite):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .graph import Graph, bits, blocks, components_without, cycle_edges, path_edges
 from .graph import _require_connected
@@ -99,8 +98,7 @@ def _dangling_path(g: Graph, hub: int, first: int) -> tuple[int, ...] | None:
     return tuple(chain) if g.degree(chain[-1]) == 1 else None
 
 
-@dataclass(frozen=True)
-class GraftSite:
+class GraftSite(NamedTuple):
     """Hub with two dangling paths, listed hub-outward, shorter first."""
 
     hub: int
@@ -155,8 +153,7 @@ def graft_sites(g: Graph) -> list[GraftSite]:
     return sites
 
 
-@dataclass(frozen=True)
-class RelocateSite:
+class RelocateSite(NamedTuple):
     """Decomposition of g into H1, H2 and a dangling path glued at one vertex.
 
     ``path`` lists the pendant path from the center outward (the lemma's
@@ -207,6 +204,10 @@ def relocate_sites(g: Graph) -> list[RelocateSite]:
     _require_connected(g)
     sites: list[RelocateSite] = []
     for c in range(g.n):
+        # Each component of g - c meets c, so a centre of degree below 3
+        # leaves fewer than the 3 components a site needs.
+        if g.adj[c].bit_count() < 3:
+            continue
         comps = components_without(g.adj, c)
         if len(comps) < 3:
             continue
@@ -258,8 +259,7 @@ def block_cycle_sites(g: Graph) -> list[int]:
     ]
 
 
-@dataclass(frozen=True)
-class MergeCyclesSite:
+class MergeCyclesSite(NamedTuple):
     """Two cycle blocks meeting at one shared vertex."""
 
     shared: int
@@ -315,8 +315,7 @@ def merge_sites(g: Graph) -> list[MergeCyclesSite]:
     return sites
 
 
-@dataclass(frozen=True)
-class BalanceSite:
+class BalanceSite(NamedTuple):
     """Clique of a clique-with-paths graph plus donor/receiver path indices."""
 
     clique: tuple[int, ...]
@@ -402,8 +401,7 @@ def balance_sites(g: Graph) -> list[BalanceSite]:
     return sites
 
 
-@dataclass(frozen=True)
-class ShrinkSite:
+class ShrinkSite(NamedTuple):
     """Edge from a host vertex to the pendant of an attached tadpole."""
 
     attach: int
@@ -454,11 +452,17 @@ def shrink_sites(g: Graph) -> list[ShrinkSite]:
     _require_connected(g)
     sites = []
     # The tadpole is a component of g - attach that attach meets in one
-    # neighbour, the pendant: the edge between them is then a bridge.
+    # neighbour, the pendant: the edge between them is then a bridge.  The
+    # pendant has degree 2 in g, and a ring of 4 or more plus the pendant
+    # makes at least 5 vertices.
+    two = _mask(v for v, row in enumerate(g.adj) if row.bit_count() == 2)
     for attach in range(g.n):
+        if not g.adj[attach] & two:
+            continue
         for tad in components_without(g.adj, attach):
             meet = g.adj[attach] & tad
-            if meet & (meet - 1) or g.n - tad.bit_count() < 2:
+            size = tad.bit_count()
+            if meet & (meet - 1) or size < 5 or g.n - size < 2:
                 continue
             pend = meet.bit_length() - 1
             order = _tadpole_order(g, tad, pend)

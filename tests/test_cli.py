@@ -353,6 +353,12 @@ class TestVerify:
         rows = list(csv.DictReader(io.StringIO(out)))
         assert rows and all(r["status"] == "pass" for r in rows)
 
+    def test_csv_fields_are_the_scalar_verdict_fields(self):
+        assert cli._CSV_FIELDS == [
+            "theorem", "n", "parameter", "predicted_value", "observed_value",
+            "class_size", "uniqueness_checked", "status", "note",
+        ]
+
 
     @pytest.mark.parametrize("orders", ["12", "8..3", "8..10"])
     def test_no_applicable_order_is_usage_error(self, capsys, orders):
@@ -427,6 +433,25 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             main(["search", "-n", "5"])
         assert exc.value.code == 2
+
+
+def test_import_leaves_slow_stdlib_modules_unloaded():
+    # Start-up cost: dataclasses brings inspect, ast and dis, and fractions
+    # brings decimal.  Only the modules the import itself adds are counted.
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parent.parent / "src")}
+    script = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import totecc, totecc.cli\n"
+        "print(*sorted(set(sys.modules) - before))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    added = set(proc.stdout.split())
+    assert "totecc.cli" in added
+    assert added.isdisjoint({"dataclasses", "inspect", "fractions", "decimal", "csv"})
 
 
 class TestOutputErrors:

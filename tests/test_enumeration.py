@@ -644,7 +644,7 @@ class TestAcceptTest:
 
     def test_stream_graphs_pass_full_validation(self):
         # the stream builds children with Graph._unchecked; the public
-        # constructor runs every __post_init__ check on the same rows
+        # constructor runs every check of __init__ on the same rows
         for n in range(1, 8):
             for g in connected_graphs(n):
                 assert Graph(g.n, g.adj) == g

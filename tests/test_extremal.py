@@ -228,6 +228,20 @@ def test_empty_class_yields_skipped_verdict():
     assert v.status == extremal.SKIPPED and v.observed_value is None
 
 
+@pytest.mark.parametrize(
+    ("args", "message"),
+    [
+        (("bogus",), "unknown class kind 'bogus'"),
+        (("tree", 2), "class tree takes no parameter"),
+        (("pendant_count",), "class pendant_count needs a parameter >= 0"),
+        (("unicyclic_girth", 2), "girth parameter must be >= 3"),
+    ],
+)
+def test_class_constraint_validates_on_construction(args, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        ClassConstraint(*args)
+
+
 class TestDispatch:
     def test_verify_theorem_names(self):
         assert verify_theorem("unicyclic", 4) == []  # below range: empty

@@ -301,6 +301,8 @@ class TestFamilySpec:
     def test_unknown_tag(self):
         with pytest.raises(ValueError):
             parse_family(["megagraph", "3"])
+        with pytest.raises(ValueError, match="^unknown family tag 'bogus'$"):
+            FamilySpec("bogus", ())
 
     def test_wrong_arity(self):
         with pytest.raises(ValueError):

@@ -2,7 +2,9 @@
 
 The JSON verdict files under tests/golden/ were written by the CLI before
 the theorem statements became table rows, the text and CSV ones before
-one walk of the growth tree served a whole order range, enumerate_8.sha256 (the sha256 of
+one walk of the growth tree served a whole order range, the rewrite, search
+and eps files (record reprs and dicts) before the records became named
+tuples and ``Graph`` a slots class, enumerate_8.sha256 (the sha256 of
 the stdout of ``totecc enumerate -n 8``) before the augmentation
 pre-test, and enumerate_9.sha256 before the per-parent cut tests.  Any
 change to the verdict payloads, the stream's graphs or their order, or
@@ -25,6 +27,14 @@ from totecc.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
 
+#: Two triangles and a tadpole with a 4-ring meet at vertex 0; vertex 1
+#: roots dangling paths of lengths 1 and 2.  Every rewrite kind but
+#: balance-paths (clique-with-paths graphs only) has a site on it.
+SITES_G6 = "L{e?GC@?i?G??@"
+REWRITE_KINDS = (
+    "add-edge", "graft", "relocate", "block-to-cycle", "merge-cycles", "balance-paths", "shrink-girth"
+)
+
 CASES = {
     "verify_all_3_8": ["verify", "--theorem", "all", "-n", "3..8", "--format", "json"],
     "conjecture_5_8": ["conjecture", "-n", "5..8", "--format", "json"],
@@ -32,6 +42,29 @@ CASES = {
     "verify_all_3_8_csv": ["verify", "--theorem", "all", "-n", "3..8", "--format", "csv"],
     "conjecture_5_8_text": ["conjecture", "-n", "5..8", "--format", "text"],
     "conjecture_5_8_csv": ["conjecture", "-n", "5..8", "--format", "csv"],
+    # Record reprs and dicts: site listings, one applied rewrite, one search
+    # report and one family's invariants, with avg_ecc from a Fraction.
+    **{
+        f"rewrite_{kind.replace('-', '_')}_sites_{fmt}": [
+            "rewrite", kind, "--graph6", SITES_G6, "--list-sites", "--format", fmt
+        ]
+        for kind in REWRITE_KINDS
+        for fmt in ("text", "json")
+    },
+    **{
+        f"rewrite_balance_paths_k3_sites_{fmt}": [
+            "rewrite", "balance-paths", "--family", "complete_with_paths", "3", "1", "1", "4",
+            "--list-sites", "--format", fmt,
+        ]
+        for fmt in ("text", "json")
+    },
+    "rewrite_relocate_json": [
+        "rewrite", "relocate", "--graph6", SITES_G6, "--site-index", "1", "--format", "json"
+    ],
+    "search_7_pendant_2_max": [
+        "search", "-n", "7", "--class", "pendant_count=2", "--objective", "max", "--format", "json"
+    ],
+    "eps_dumbbell_3_3_7": ["eps", "--family", "dumbbell", "3", "3", "7", "--format", "json"],
 }
 
 

@@ -1,5 +1,6 @@
 """Exact invariants on small graphs, checked against hand-derived values."""
 
+import pickle
 import random
 from fractions import Fraction
 
@@ -60,6 +61,46 @@ class TestGraphType:
         with pytest.raises(ValueError):
             Graph(2, (2, 0))
 
+    @pytest.mark.parametrize(
+        ("adj", "message"),
+        [((2, 0), "asymmetric adjacency between 1 and 0"), ((1, 0), "self-loop at vertex 0")],
+    )
+    def test_constructor_and_unpickling_check_rows(self, adj, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            Graph(2, adj)
+        # __reduce__ rebuilds through __init__, so loading runs the same checks
+        forged = pickle.dumps(Graph._unchecked(2, adj))
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            pickle.loads(forged)
+
+    def test_pickle_round_trip(self):
+        for g in (families.path(1), families.dumbbell(3, 4, 9), families.cycle(200)):
+            for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+                back = pickle.loads(pickle.dumps(g, protocol))
+                assert type(back) is Graph and back == g and back.adj == g.adj
+
+    def test_equal_only_to_a_graph(self):
+        g = families.path(3)
+        assert g == Graph(3, g.adj) and hash(g) == hash(Graph(3, g.adj))
+        assert g != (g.n, g.adj) and (g.n, g.adj) != g
+        assert g != families.path(4) and g != families.cycle(3)
+
+    def test_hash_is_the_hash_of_its_fields(self):
+        for g in (families.path(1), families.cycle(5), families.complete(40)):
+            assert hash(g) == hash((g.n, g.adj))
+
+    @pytest.mark.parametrize("name", ["n", "adj", "extra"])
+    def test_fields_cannot_be_assigned_or_deleted(self, name):
+        g = families.path(3)
+        with pytest.raises(AttributeError):
+            setattr(g, name, 4)
+        with pytest.raises(AttributeError):
+            delattr(g, name)
+        assert g == families.path(3)
+
+    def test_repr_names_its_fields(self):
+        assert repr(families.path(3)) == "Graph(n=3, adj=(2, 5, 2))"
+
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             Graph.from_edges(2, [(0, 2)])
@@ -92,7 +133,7 @@ class TestGraphType:
         assert str(info.value) == message
 
     def test_from_edges_equals_the_validated_constructor(self):
-        # from_edges skips __post_init__; Graph(n, rows) runs every check on the same rows
+        # from_edges skips __init__'s checks; Graph(n, rows) runs every one on the same rows
         built = [
             families.path(1), families.path(200), families.cycle(3), families.cycle(200),
             families.complete(1), families.complete(40), families.star(2), families.star(200),
@@ -477,6 +518,7 @@ class TestTotalsAndWiener:
         assert average_eccentricity(families.complete(9)) == 1
         assert average_eccentricity(families.cycle(6)) == 3
         assert average_eccentricity(families.path(5)) == Fraction(16, 5)
+        assert type(average_eccentricity(families.cycle(6))) is Fraction
 
 
 class TestDegreeBased:

@@ -571,7 +571,7 @@ def test_rewrites_reject_a_disconnected_graph_whatever_the_site():
 
 def test_rewrite_outputs_pass_full_validation():
     # _rewire builds its graph unchecked; the public constructor runs every
-    # __post_init__ check on the same rows, for every listed site of every kind
+    # check of __init__ on the same rows, for every listed site of every kind
     checked = set()
     for g in _lister_inputs():
         if not is_connected(g):
